@@ -1,86 +1,72 @@
-"""Damerau-Levenshtein cost-matrix kernels.
+"""Bit-parallel Damerau-Levenshtein kernel (unit costs, adjacent transposition).
 
-Two interchangeable implementations of the same DP (unit costs, adjacent
-transposition): a numba-jitted nested loop and a vectorized pure-numpy
-fallback. Set LTGEC_DISABLE_NUMBA=1 to force the numpy path; it is also used
-automatically when numba is unavailable.
+The DP is d[i][j], the restricted (optimal string alignment) distance
+between a[:i] and b[:j]. The kernel never stores d. It scans b one column at
+a time and keeps each column as delta bits packed into Python ints, where bit
+i-1 stands for row i:
+
+- ``d0[j]`` bit i-1 is set iff d[i][j] == d[i-1][j-1]. Diagonal deltas are
+  0 or 1, so a clear bit means d[i][j] == d[i-1][j-1] + 1.
+- ``vp[j]`` bit i-1 is set iff d[i][j] == d[i-1][j] + 1. Vertical deltas are
+  -1, 0 or +1.
+
+Column 0 is d[i][0] = i: all ``vp`` bits set and no ``d0`` bits. The whole
+matrix follows from ``d0`` and the borders d[0][j] = j, d[i][0] = i.
+
+The column update is Myers' bit-vector algorithm (Myers 1999, "A fast
+bit-vector algorithm for approximate string matching based on dynamic
+programming") in its global-distance form, with a +1 horizontal delta
+shifted in at row 0, and with Hyyrö's transposition term (Hyyrö 2003, "A
+bit-vector algorithm for computing Levenshtein and Damerau edit distances").
 """
 
 from __future__ import annotations
 
-import os
+from dataclasses import dataclass
 
 import numpy as np
 
-_ENV_FLAG = "LTGEC_DISABLE_NUMBA"
 
+@dataclass(frozen=True)
+class DeltaColumns:
+    """Delta bits of d, one ``d0`` and one ``vp`` int per column 0..len(b)."""
 
-def _dl_matrix_loops(a, b):
-    n = a.shape[0]
-    m = b.shape[0]
-    d = np.empty((n + 1, m + 1), np.int32)
-    for j in range(m + 1):
-        d[0, j] = j
-    for i in range(1, n + 1):
-        d[i, 0] = i
-        ai = a[i - 1]
-        for j in range(1, m + 1):
-            cost = d[i - 1, j - 1] + (ai != b[j - 1])
-            up = d[i - 1, j] + 1
-            if up < cost:
-                cost = up
-            left = d[i, j - 1] + 1
-            if left < cost:
-                cost = left
-            if i > 1 and j > 1 and ai == b[j - 2] and a[i - 2] == b[j - 1]:
-                tr = d[i - 2, j - 2] + 1
-                if tr < cost:
-                    cost = tr
-            d[i, j] = cost
-    return d
+    d0: list[int]
+    vp: list[int]
+    rows: int
+    distance: int
 
-
-def dl_matrix_numpy(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-vectorized DP. The insertion recurrence row[j] = min(v[j],
-    row[j-1]+1) unrolls to j + running_min(v[k]-k), which numpy can
-    accumulate."""
-    n = a.shape[0]
-    m = b.shape[0]
-    d = np.empty((n + 1, m + 1), np.int32)
-    idx = np.arange(m + 1, dtype=np.int32)
-    d[0] = idx
-    full = np.empty(m + 1, np.int32)
-    for i in range(1, n + 1):
-        prev = d[i - 1]
-        v = prev[:m] + (b != a[i - 1])
-        np.minimum(v, prev[1:] + 1, out=v)
-        if i >= 2 and m >= 2:
-            tmask = (b[1:] == a[i - 2]) & (b[:-1] == a[i - 1])
-            v[1:] = np.where(tmask, np.minimum(v[1:], d[i - 2, :m - 1] + 1), v[1:])
-        full[0] = i
-        full[1:] = v
-        np.subtract(full, idx, out=full)
-        np.minimum.accumulate(full, out=full)
-        np.add(full, idx, out=full)
-        d[i] = full
-    return d
-
-
-_numba_matrix = None
-if not os.environ.get(_ENV_FLAG):
-    try:
-        from numba import njit
-
-        _numba_matrix = njit(cache=True)(_dl_matrix_loops)
-    except ImportError:
-        _numba_matrix = None
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the packed bit columns (like ``ndarray.nbytes``, without
+        the int objects' headers)."""
+        return 2 * len(self.d0) * ((self.rows + 7) // 8)
 
 
 def active_backend() -> str:
-    return "numba" if _numba_matrix is not None else "numpy"
+    return "bitparallel"
 
 
-def dl_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if _numba_matrix is not None:
-        return _numba_matrix(a, b)
-    return dl_matrix_numpy(a, b)
+def dl_matrix(a: np.ndarray, b: np.ndarray) -> DeltaColumns:
+    """Delta columns of the DP turning code points ``a`` into ``b``."""
+    n = a.shape[0]
+    mask = (1 << n) - 1
+    peq: dict[int, int] = {}
+    for i, ch in enumerate(a.tolist()):
+        peq[ch] = peq.get(ch, 0) | 1 << i
+    d0, vp, vn, eq_prev = 0, mask, 0, 0
+    d0s, vps = [0], [mask]
+    for ch in b.tolist():
+        eq = peq.get(ch, 0)
+        tr = (~d0 & eq) << 1 & eq_prev
+        d0 = ((eq & vp) + vp ^ vp | eq | vn | tr) & mask
+        # Horizontal +1/-1 deltas, moved down one row; row 0 gets +1 (d[0][j] = j).
+        hp = (vn | ~(d0 | vp)) << 1 & mask | 1
+        hn = (d0 & vp) << 1
+        vp = (hn | ~(d0 | hp)) & mask
+        vn = hp & d0
+        d0s.append(d0)
+        vps.append(vp)
+        eq_prev = eq
+    # d[n][m] = d[0][m] plus the vertical deltas of the last column.
+    return DeltaColumns(d0s, vps, n, b.shape[0] + vp.bit_count() - vn.bit_count())

@@ -43,37 +43,38 @@ def _encode(text: str) -> np.ndarray:
 
 def align(a: str, b: str) -> AlignmentScript:
     """Minimum-cost edit script turning ``a`` into ``b``."""
-    ca = _encode(a)
-    cb = _encode(b)
-    d = dl_matrix(ca, cb)
+    cols = dl_matrix(_encode(a), _encode(b))
+    # Each bit test below is the DP equality test it stands for: diagonal
+    # deltas are 0 or 1, so d0 decides d[i-1][j-1] (+1) == d[i][j], and the
+    # transposition cost d[i][j] - d[i-2][j-2] is 2 minus two d0 bits.
+    d0, vp = cols.d0, cols.vp
     ops: list[AlignOp] = []
     i, j = len(a), len(b)
     while i > 0 or j > 0:
-        here = d[i, j]
-        if i > 0 and j > 0 and a[i - 1] == b[j - 1] and d[i - 1, j - 1] == here:
+        if i > 0 and j > 0 and a[i - 1] == b[j - 1] and d0[j] >> (i - 1) & 1:
             ops.append(AlignOp(MATCH, i - 1, j - 1, a[i - 1], b[j - 1]))
             i -= 1
             j -= 1
-        elif i > 0 and j > 0 and a[i - 1] != b[j - 1] and d[i - 1, j - 1] + 1 == here:
+        elif i > 0 and j > 0 and a[i - 1] != b[j - 1] and not d0[j] >> (i - 1) & 1:
             ops.append(AlignOp(SUBSTITUTE, i - 1, j - 1, a[i - 1], b[j - 1]))
             i -= 1
             j -= 1
         elif (
             i > 1 and j > 1
             and a[i - 1] == b[j - 2] and a[i - 2] == b[j - 1]
-            and d[i - 2, j - 2] + 1 == here
+            and (d0[j] >> (i - 1) & 1) + (d0[j - 1] >> (i - 2) & 1) == 1
         ):
             ops.append(AlignOp(TRANSPOSE, i - 2, j - 2, a[i - 2:i], b[j - 2:j]))
             i -= 2
             j -= 2
-        elif i > 0 and d[i - 1, j] + 1 == here:
+        elif i > 0 and vp[j] >> (i - 1) & 1:
             ops.append(AlignOp(DELETE, i - 1, j, a[i - 1], ""))
             i -= 1
         else:
             ops.append(AlignOp(INSERT, i, j - 1, "", b[j - 1]))
             j -= 1
     ops.reverse()
-    return AlignmentScript(tuple(ops), int(d[len(a), len(b)]))
+    return AlignmentScript(tuple(ops), cols.distance)
 
 
 def replay(script: AlignmentScript, a: str) -> str:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import zip_longest
 from typing import Iterable
 
 from .alignment import extract_edits
@@ -202,6 +203,9 @@ class EvalReport:
         return "\n".join(lines)
 
 
+_MISSING = object()  # fill value marking the shorter of pairs and hypotheses
+
+
 def _category_name(category: ErrorCategory | None) -> str:
     return (category or ErrorCategory.OTHER).value
 
@@ -222,31 +226,27 @@ def score(pairs: Iterable[ParallelPair], hypotheses: Iterable[str],
             entry = cats[name] = CategoryScore()
         return entry
 
-    try:
-        aligned = zip(pairs, hypotheses, strict=True)
-        for pair, hyp in aligned:
-            report.pairs += 1
-            if pair.edits:
-                report.samples_affected += 1
-            for name in {_category_name(e.category) for e in pair.edits}:
-                cat(name).samples += 1
-            gold = {(e.start, e.end, e.replacement): e.category for e in pair.edits}
-            matched = set()
-            for he in extract_edits(pair.source, hyp):
-                key = (he.start, he.end, he.replacement)
-                if key in gold:
-                    matched.add(key)
-                    report.tp += 1
-                    cat(_category_name(gold[key])).tp += 1
-                else:
-                    report.fp += 1
-                    cat(classify_edit(he, pair.source, table).value).fp += 1
-            for key, category in gold.items():
-                if key not in matched:
-                    report.fn += 1
-                    cat(_category_name(category)).fn += 1
-    except ValueError as exc:
-        if "zip()" in str(exc):
-            raise ValueError("gold pair and hypothesis counts differ") from None
-        raise
+    for pair, hyp in zip_longest(pairs, hypotheses, fillvalue=_MISSING):
+        if pair is _MISSING or hyp is _MISSING:
+            raise ValueError("gold pair and hypothesis counts differ")
+        report.pairs += 1
+        if pair.edits:
+            report.samples_affected += 1
+        for name in {_category_name(e.category) for e in pair.edits}:
+            cat(name).samples += 1
+        gold = {(e.start, e.end, e.replacement): e.category for e in pair.edits}
+        matched = set()
+        for he in extract_edits(pair.source, hyp):
+            key = (he.start, he.end, he.replacement)
+            if key in gold:
+                matched.add(key)
+                report.tp += 1
+                cat(_category_name(gold[key])).tp += 1
+            else:
+                report.fp += 1
+                cat(classify_edit(he, pair.source, table).value).fp += 1
+        for key, category in gold.items():
+            if key not in matched:
+                report.fn += 1
+                cat(_category_name(category)).fn += 1
     return report

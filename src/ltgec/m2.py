@@ -18,17 +18,22 @@ NOOP_REPLACEMENT = "-NONE-"
 _SEP = "|||"
 
 
+def _one_line(text: str) -> bool:
+    """True when ``text`` holds no line break that a reader would split on."""
+    return "\n" not in text and "\r" not in text
+
+
 def write_m2(pairs: Iterable[ParallelPair], fp: TextIO, annotator: int = 0) -> int:
     count = 0
     for pair in pairs:
-        if "\n" in pair.source:
+        if not _one_line(pair.source):
             raise ValueError(f"pair {pair.id}: source must be a single line")
         fp.write(f"S {pair.source}\n")
         if not pair.edits:
             fp.write(f"A -1 -1{_SEP}{NOOP_CATEGORY}{_SEP}{NOOP_REPLACEMENT}{_SEP}{annotator}\n")
         for edit in pair.edits:
             category = (edit.category or ErrorCategory.OTHER).value
-            if _SEP in edit.replacement or "\n" in edit.replacement:
+            if _SEP in edit.replacement or not _one_line(edit.replacement):
                 raise ValueError(f"pair {pair.id}: replacement not representable")
             fp.write(
                 f"A {edit.start} {edit.end}{_SEP}{category}{_SEP}"
@@ -85,7 +90,7 @@ def read_m2(fp: TextIO) -> Iterator[ParallelPair]:
         return pair
 
     for lineno, raw in enumerate(fp, start=1):
-        line = raw.rstrip("\n")
+        line = raw.rstrip("\r\n")
         if not line.strip():
             if source is not None:
                 yield finish(lineno)

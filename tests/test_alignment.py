@@ -1,23 +1,29 @@
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import PARAGRAPHS
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ltgec._kernels import _dl_matrix_loops, dl_matrix, dl_matrix_numpy
+from ltgec._kernels import dl_matrix
 from ltgec.alignment import (
     DELETE,
     INSERT,
     MATCH,
     SUBSTITUTE,
     TRANSPOSE,
+    AlignmentScript,
+    AlignOp,
     _encode,
     align,
     extract_edits,
     replay,
 )
+from ltgec.corpus import TextSample
 from ltgec.edits import Edit, apply_edits
+from ltgec.noiser import CorruptionConfig, corrupt
 
 
 def oracle_distance(a: str, b: str) -> int:
@@ -78,16 +84,145 @@ class TestDistance:
         assert align(a, b).cost >= abs(len(a) - len(b))
 
 
-class TestBackends:
-    @given(WORDS, WORDS)
-    def test_numpy_equals_loops(self, a, b):
-        ca, cb = _encode(a), _encode(b)
-        assert np.array_equal(dl_matrix_numpy(ca, cb), _dl_matrix_loops(ca, cb))
+def _dl_matrix_loops(a, b):
+    """Reference full-matrix DP: the kernel the bit-parallel one replaced."""
+    n = a.shape[0]
+    m = b.shape[0]
+    d = np.empty((n + 1, m + 1), np.int32)
+    for j in range(m + 1):
+        d[0, j] = j
+    for i in range(1, n + 1):
+        d[i, 0] = i
+        ai = a[i - 1]
+        for j in range(1, m + 1):
+            cost = d[i - 1, j - 1] + (ai != b[j - 1])
+            up = d[i - 1, j] + 1
+            if up < cost:
+                cost = up
+            left = d[i, j - 1] + 1
+            if left < cost:
+                cost = left
+            if i > 1 and j > 1 and ai == b[j - 2] and a[i - 2] == b[j - 1]:
+                tr = d[i - 2, j - 2] + 1
+                if tr < cost:
+                    cost = tr
+            d[i, j] = cost
+    return d
 
-    @given(WORDS, WORDS)
-    def test_dispatch_equals_loops(self, a, b):
-        ca, cb = _encode(a), _encode(b)
-        assert np.array_equal(dl_matrix(ca, cb), _dl_matrix_loops(ca, cb))
+
+def reference_align(a: str, b: str) -> AlignmentScript:
+    """Reference backtrace: integer lookups in the full reference matrix."""
+    ca = _encode(a)
+    cb = _encode(b)
+    d = _dl_matrix_loops(ca, cb)
+    ops: list[AlignOp] = []
+    i, j = len(a), len(b)
+    while i > 0 or j > 0:
+        here = d[i, j]
+        if i > 0 and j > 0 and a[i - 1] == b[j - 1] and d[i - 1, j - 1] == here:
+            ops.append(AlignOp(MATCH, i - 1, j - 1, a[i - 1], b[j - 1]))
+            i -= 1
+            j -= 1
+        elif i > 0 and j > 0 and a[i - 1] != b[j - 1] and d[i - 1, j - 1] + 1 == here:
+            ops.append(AlignOp(SUBSTITUTE, i - 1, j - 1, a[i - 1], b[j - 1]))
+            i -= 1
+            j -= 1
+        elif (
+            i > 1 and j > 1
+            and a[i - 1] == b[j - 2] and a[i - 2] == b[j - 1]
+            and d[i - 2, j - 2] + 1 == here
+        ):
+            ops.append(AlignOp(TRANSPOSE, i - 2, j - 2, a[i - 2:i], b[j - 2:j]))
+            i -= 2
+            j -= 2
+        elif i > 0 and d[i - 1, j] + 1 == here:
+            ops.append(AlignOp(DELETE, i - 1, j, a[i - 1], ""))
+            i -= 1
+        else:
+            ops.append(AlignOp(INSERT, i, j - 1, "", b[j - 1]))
+            j -= 1
+    ops.reverse()
+    return AlignmentScript(tuple(ops), int(d[len(a), len(b)]))
+
+
+# Few letters make adjacent swaps and ties common; up to 100 characters spans
+# several 30-bit digits of the kernel's column ints.
+SWAPPY = "abą "
+LONG = st.text(alphabet=SWAPPY, max_size=100)
+
+
+@st.composite
+def near_pairs(draw):
+    """A string and a copy with a few swaps, deletions, insertions and
+    substitutions, or an unrelated string."""
+    a = draw(LONG)
+    if draw(st.booleans()):
+        return a, draw(LONG)
+    b = list(a)
+    for op, at, ch in draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 100),
+                                              st.sampled_from(SWAPPY)), max_size=8)):
+        k = at % (len(b) + 1)
+        if op == 0 and k + 1 < len(b):
+            b[k], b[k + 1] = b[k + 1], b[k]
+        elif op == 1 and k < len(b):
+            del b[k]
+        elif op == 2:
+            b.insert(k, ch)
+        elif op == 3 and k < len(b):
+            b[k] = ch
+    return a, "".join(b)
+
+
+def rebuild_matrix(a: str, b: str) -> np.ndarray:
+    """The full DP matrix from the kernel's diagonal delta bits, with the
+    vertical delta bits checked against it cell by cell."""
+    cols = dl_matrix(_encode(a), _encode(b))
+    n, m = len(a), len(b)
+    assert len(cols.d0) == len(cols.vp) == m + 1
+    d = np.empty((n + 1, m + 1), np.int64)
+    d[0] = np.arange(m + 1)
+    d[:, 0] = np.arange(n + 1)
+    for j in range(1, m + 1):
+        for i in range(1, n + 1):
+            d[i, j] = d[i - 1, j - 1] + 1 - (cols.d0[j] >> (i - 1) & 1)
+    for j in range(m + 1):
+        for i in range(1, n + 1):
+            assert (cols.vp[j] >> (i - 1) & 1) == (d[i, j] == d[i - 1, j] + 1)
+    assert cols.distance == d[n, m]
+    return d
+
+
+class TestReference:
+    @given(near_pairs())
+    def test_matrix_equals_loops(self, pair):
+        a, b = pair
+        assert np.array_equal(rebuild_matrix(a, b), _dl_matrix_loops(_encode(a), _encode(b)))
+
+    @given(near_pairs())
+    def test_align_equals_reference(self, pair):
+        a, b = pair
+        assert align(a, b) == reference_align(a, b)
+
+    @pytest.mark.parametrize("a,b", [("", ""), ("", "ab"), ("abc", ""), ("ab", "ba")])
+    def test_empty_and_tiny(self, a, b):
+        assert np.array_equal(rebuild_matrix(a, b), _dl_matrix_loops(_encode(a), _encode(b)))
+        assert align(a, b) == reference_align(a, b)
+
+
+class TestMemory:
+    def test_long_pair_peak_is_linear_in_columns(self):
+        # A full int32 matrix for this pair would take about 100 MB.
+        text = " ".join(PARAGRAPHS * 4)[:5000]
+        pair = corrupt(TextSample("long", text), CorruptionConfig(seed=1))
+        assert len(pair.source) > 4900 and pair.edits
+        tracemalloc.start()
+        try:
+            edits = extract_edits(pair.source, pair.target)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert apply_edits(pair.source, edits) == pair.target
+        assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 class TestScript:

@@ -48,6 +48,13 @@ class TestWrite:
         with pytest.raises(ValueError, match="single line"):
             write_m2([pair], io.StringIO())
 
+    def test_carriage_return_rejected(self):
+        with pytest.raises(ValueError, match="single line"):
+            write_m2([ParallelPair("p", "a\rb", "a\rb", ())], io.StringIO())
+        pair = ParallelPair("p", "ab", "a\rb", (Edit(1, 1, "\r", None),))
+        with pytest.raises(ValueError, match="not representable"):
+            write_m2([pair], io.StringIO())
+
     def test_separator_in_replacement_rejected(self):
         pair = ParallelPair("p", "ab", "a|||b", (Edit(1, 1, "|||", None),))
         with pytest.raises(ValueError, match="not representable"):
@@ -89,6 +96,14 @@ class TestRead:
         text = "S grazi\nA 3 4|||similar-sounding|||ž|||0"
         (pair,) = read_m2(io.StringIO(text))
         assert pair.target == "graži"
+
+    def test_crlf_line_endings(self):
+        text = ("S ab\r\nA -1 -1|||noop|||-NONE-|||0\r\n\r\n"
+                "S grazi\r\nA 3 4|||similar-sounding|||ž|||0\r\n")
+        clean, fixed = read_m2(io.StringIO(text))
+        assert clean.source == clean.target == "ab"
+        assert (fixed.source, fixed.target) == ("grazi", "graži")
+        assert fixed.edits == (Edit(3, 4, "ž", SS),)
 
     def test_noop_yields_clean_pair(self):
         text = "S viskas gerai\nA -1 -1|||noop|||-NONE-|||0\n"
