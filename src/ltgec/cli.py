@@ -71,7 +71,11 @@ def _parse_groups(raw: str) -> frozenset[ErrorCategory]:
 
 
 def _map_jobs(fn, items: list, jobs: int) -> Iterable:
-    if jobs <= 1:
+    # checked here rather than by argparse, which leaves the int and float
+    # defaults a --config file supplies unconverted
+    if type(jobs) is not int or jobs < 1:
+        raise CliError(E_INPUT, f"--jobs must be a positive integer, got {jobs!r}")
+    if jobs == 1:
         return map(fn, items)
 
     def run():

@@ -34,6 +34,10 @@ class ConfusionGroup:
     def regex(self) -> re.Pattern:
         return _compile(self.pattern)
 
+    def sites(self, text: str) -> list[re.Match]:
+        """Leftmost non-overlapping non-empty matches: the group's sites."""
+        return [m for m in self.regex.finditer(text) if m.end() > m.start()]
+
     def replacement_options(self, surface: str) -> tuple[list[str], list[float]]:
         """Replacement candidates for a matched surface: the group's *other*
         variants, weighted by how frequent they are."""
@@ -84,7 +88,10 @@ _DEFAULT_GROUPS: tuple[tuple[str, ErrorCategory, tuple[tuple[str, int], ...]], .
 _PUNCTUATION_PATTERNS = frozenset(p for p, cat, _ in _DEFAULT_GROUPS if cat is _P)
 
 
+@functools.cache
 def default_table() -> ConfusionTable:
+    """The shipped table, built once per process. The returned object is
+    shared by every caller, so it must not be mutated."""
     return ConfusionTable(tuple(
         ConfusionGroup(pattern, variants, category)
         for pattern, category, variants in _DEFAULT_GROUPS

@@ -1,9 +1,12 @@
 """Baseline correctors: deterministic cleanup rules and a noisy-channel
 unigram speller.
 
-The channel model mirrors the corruption process: a candidate correction is
-scored by the probability that corrupting it yields the observed word, using
-the same per-family error rates, keyboard adjacency and confusion weights.
+A candidate correction is scored by the probability that corrupting it
+yields the observed word, using the noiser's per-family error rates, keyboard
+adjacency, confusion weights and site functions. The channel does not mirror
+the corruption process fully: it has no gemination, assimilation or space
+routes, and it counts a casing site at every word start, where the noiser
+skips sentence starts.
 """
 
 from __future__ import annotations
@@ -23,7 +26,9 @@ from .noiser import (
     SUBSTITUTION,
     TRANSPOSITION,
     assimilation_sites,
+    check_rates,
     gemination_sites,
+    space_sites,
 )
 from .tokenstats import EmptyCorpusError, tokenize_words
 
@@ -101,6 +106,9 @@ class ChannelModel:
     other_rate: float = 0.02
     typo_mix: dict = field(default_factory=lambda: dict(DEFAULT_TYPO_MIX))
 
+    def __post_init__(self):
+        check_rates(self, allow_one=False)
+
 
 _WORD = re.compile(r"\w+")
 
@@ -109,19 +117,12 @@ def _identity_prob(word: str, channel: ChannelModel, table: ConfusionTable) -> f
     """Probability the corruption process leaves this word untouched."""
     p = (1.0 - channel.typo_rate) ** len(word)
     for g in table.groups:
-        hits = sum(1 for m in g.regex.finditer(word) if m.end() > m.start())
-        if hits:
-            p *= (1.0 - channel.confusion_rate) ** hits
-    other_sites = len(gemination_sites(word)) + len(assimilation_sites(word))
-    other_sites += sum(
-        1 for i in range(1, len(word))
-        if word[i - 1].isalpha() and word[i].isalpha()
-    )
-    if word and word[0].isalpha():
-        other_sites += 1
-    if other_sites:
-        p *= (1.0 - channel.other_rate) ** other_sites
-    return p
+        p *= (1.0 - channel.confusion_rate) ** len(g.sites(word))
+    # Casing counts every word start, sentence starts included, where the
+    # noiser never flips: the known deviation of ROADMAP open item 3.
+    other_sites = (len(gemination_sites(word)) + len(assimilation_sites(word))
+                   + len(space_sites(word)[1]) + word[:1].isalpha())
+    return p * (1.0 - channel.other_rate) ** other_sites
 
 
 def _normalized_options(kbd: KeyboardModel, ch: str) -> tuple[list[str], list[float]]:
@@ -145,9 +146,7 @@ def _routes(word: str, channel: ChannelModel, table: ConfusionTable,
         routes[cand] = routes.get(cand, 0.0) + rate * q / (1.0 - rate)
 
     for g in table.groups:
-        for m in g.regex.finditer(word):
-            if m.end() == m.start():
-                continue
+        for m in g.sites(word):
             options, probs = g.replacement_options(m.group())
             for variant, q in zip(options, probs):
                 add(word[:m.start()] + variant + word[m.end():],

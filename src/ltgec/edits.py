@@ -181,12 +181,18 @@ def pair_to_json(pair: ParallelPair) -> str:
 
 
 def pair_from_json(line: str) -> ParallelPair:
+    """Parse one record; as for M2 gold, its edits must be sorted, disjoint,
+    inside the source, and turn the source into the target."""
     record = json.loads(line)
     edits = tuple(
         Edit(int(s), int(e), repl, CATEGORY_BY_VALUE[cat] if cat else None)
         for s, e, repl, cat in record["edits"]
     )
-    return ParallelPair(str(record["id"]), record["source"], record["target"], edits)
+    pair = ParallelPair(str(record["id"]), record["source"], record["target"], edits)
+    check_edits_sorted_disjoint(edits, len(pair.source))
+    if apply_edits(pair.source, edits) != pair.target:
+        raise ValueError("edits do not turn the source into the target")
+    return pair
 
 
 def read_pairs(fp: TextIO) -> Iterator[ParallelPair]:

@@ -15,7 +15,7 @@ from typing import Iterable
 from .alignment import extract_edits
 from .confusions import ConfusionGroup, ConfusionTable, default_table
 from .edits import Edit, ErrorCategory, ParallelPair
-from .noiser import _CONSONANTS, _SIBILANTS, _VOICED, _VOICELESS, VOICING_SWAP
+from .noiser import VOICING_SWAP, assimilation_sites, gemination_sites
 
 
 def f_beta(precision: float, recall: float, beta: float = 0.5) -> float:
@@ -58,42 +58,26 @@ def _matches_group(edit: Edit, source: str, groups: Iterable[ConfusionGroup]) ->
 
 
 def _is_gemination_shape(edit: Edit, source: str) -> bool:
+    """One letter inserted or dropped where, next to a neighbour, it forms a
+    gemination site."""
     span = source[edit.start:edit.end]
     repl = edit.replacement
-    if span and repl:
-        return False
     letter = repl or span
-    if len(letter) != 1 or letter.lower() not in _CONSONANTS:
+    if (span and repl) or len(letter) != 1:
         return False
-    lo = letter.lower()
-    left = source[edit.start - 1] if edit.start > 0 else ""
-    right = source[edit.end] if edit.end < len(source) else ""
-    for neighbor in (left, right):
-        if not neighbor:
-            continue
-        nb = neighbor.lower()
-        if nb == lo or (nb in _SIBILANTS and lo in _SIBILANTS):
-            return True
-    return False
+    left = source[edit.start - 1:edit.start]
+    right = source[edit.end:edit.end + 1]
+    return bool(gemination_sites(left + letter) or gemination_sites(letter + right))
 
 
 def _is_assimilation_shape(edit: Edit, source: str) -> bool:
+    """A voicing swap that agrees with the next letter, as assimilation makes
+    it: its correction forms an assimilation site."""
     span = source[edit.start:edit.end]
     repl = edit.replacement
-    if len(span) != 1 or len(repl) != 1:
+    if len(span) != 1 or len(repl) != 1 or VOICING_SWAP.get(span.lower()) != repl.lower():
         return False
-    x = span.lower()
-    y = repl.lower()
-    if VOICING_SWAP.get(x) != y:
-        return False
-    if edit.end >= len(source):
-        return False
-    trigger = source[edit.end].lower()
-    # the corrupted letter must agree in voicing with what follows it, which
-    # is what assimilation produces and a plain letter swap usually does not
-    if x in _VOICELESS:
-        return trigger in _VOICELESS
-    return trigger in _VOICED
+    return bool(assimilation_sites(repl + source[edit.end:edit.end + 1]))
 
 
 def classify_edit(edit: Edit, source: str, table: ConfusionTable | None = None) -> ErrorCategory:

@@ -8,6 +8,7 @@ dataset of real mistyping statistics is available.
 
 from __future__ import annotations
 
+import functools
 import unicodedata
 from dataclasses import dataclass, field
 
@@ -138,5 +139,8 @@ def load_keyboard_weights(path) -> dict[str, tuple[tuple[str, float], ...]]:
     return {k: tuple(v) for k, v in table.items()}
 
 
+@functools.cache
 def default_keyboard() -> KeyboardModel:
+    """The uniform-adjacency keyboard, built once per process. The returned
+    object is shared by every caller, so it must not be mutated."""
     return KeyboardModel()

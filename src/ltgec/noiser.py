@@ -37,16 +37,23 @@ DEFAULT_TYPO_MIX = {
     TRANSPOSITION: 0.144,
 }
 
-ALL_GROUPS = frozenset(
-    {
-        ErrorCategory.TYPOGRAPHICAL,
-        ErrorCategory.PUNCTUATION,
-        ErrorCategory.SIMILAR_SOUNDING,
-        ErrorCategory.SPACES,
-        ErrorCategory.ASSIMILATION_GEMINATION,
-        ErrorCategory.CASING,
-    }
-)
+ALL_GROUPS = frozenset(ErrorCategory) - {ErrorCategory.OTHER}
+
+
+def check_rates(params, allow_one: bool = True) -> None:
+    """Validate the three family rates and the typo mix of ``params``, a
+    CorruptionConfig or a channel model. Rates lie in [0, 1], or in [0, 1)
+    without ``allow_one``, for callers that divide by 1 - rate."""
+    for name in ("typo_rate", "confusion_rate", "other_rate"):
+        rate = getattr(params, name)
+        if not (0.0 <= rate <= 1.0 and (allow_one or rate < 1.0)):
+            raise ValueError(f"{name} must be in [0, 1{']' if allow_one else ')'}, got {rate}")
+    if set(params.typo_mix) != set(TYPO_OPS):
+        raise ValueError(f"typo_mix must have exactly the keys {TYPO_OPS}")
+    if any(w < 0 for w in params.typo_mix.values()):
+        raise ValueError("typo_mix weights must be non-negative")
+    if abs(sum(params.typo_mix.values()) - 1.0) > 1e-6:
+        raise ValueError("typo_mix weights must sum to 1")
 
 
 @dataclass(frozen=True)
@@ -59,16 +66,7 @@ class CorruptionConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("typo_rate", "confusion_rate", "other_rate"):
-            rate = getattr(self, name)
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {rate}")
-        if set(self.typo_mix) != set(TYPO_OPS):
-            raise ValueError(f"typo_mix must have exactly the keys {TYPO_OPS}")
-        if any(w < 0 for w in self.typo_mix.values()):
-            raise ValueError("typo_mix weights must be non-negative")
-        if abs(sum(self.typo_mix.values()) - 1.0) > 1e-6:
-            raise ValueError("typo_mix weights must sum to 1")
+        check_rates(self)
         bad = set(self.enabled_groups) - ALL_GROUPS
         if bad:
             raise ValueError(f"unsupported groups: {sorted(c.value for c in bad)}")
@@ -87,17 +85,23 @@ def sample_rng(seed: int, sample_id: str, family_index: int) -> np.random.Genera
 # planning order; conflict resolution (drop later-planned overlaps) happens in
 # drop_conflicting.
 
+def _strike(sites, rate: float, rng: np.random.Generator) -> list:
+    """The draw rule of every family: one uniform draw per site, in site
+    order, and the sites whose draw falls below ``rate`` are struck."""
+    if not sites or rate <= 0.0:
+        return []
+    u = rng.random(len(sites))
+    return [site for site, x in zip(sites, u) if x < rate]
+
+
 _LINE_BREAKS = frozenset("\n\r")
 
 
 def _plan_typos(text: str, cfg: CorruptionConfig, kbd: KeyboardModel,
                 rng: np.random.Generator) -> list[Plan]:
     n = len(text)
-    if n == 0 or cfg.typo_rate == 0.0:
-        return []
     mix = np.array([cfg.typo_mix[op] for op in TYPO_OPS], dtype=np.float64)
     mix = mix / mix.sum()
-    u = rng.random(n)
     sub_cache: dict[str, tuple[list[str], np.ndarray]] = {}
 
     def options_for(ch: str):
@@ -113,8 +117,8 @@ def _plan_typos(text: str, cfg: CorruptionConfig, kbd: KeyboardModel,
 
     plans: list[Plan] = []
     cat = ErrorCategory.TYPOGRAPHICAL
-    for i in range(n):
-        if text[i] in _LINE_BREAKS or u[i] >= cfg.typo_rate:
+    for i in _strike(range(n), cfg.typo_rate, rng):
+        if text[i] in _LINE_BREAKS:
             continue
         op = TYPO_OPS[int(rng.choice(4, p=mix))]
         if op == SUBSTITUTION:
@@ -146,18 +150,10 @@ def _plan_typos(text: str, cfg: CorruptionConfig, kbd: KeyboardModel,
 
 def _plan_confusions(text: str, groups: tuple[ConfusionGroup, ...], rate: float,
                      rng: np.random.Generator) -> list[Plan]:
-    if rate == 0.0:
-        return []
     plans: list[Plan] = []
     option_cache: dict[tuple[str, str], tuple[list[str], np.ndarray]] = {}
     for g in groups:
-        matches = [m for m in g.regex.finditer(text) if m.end() > m.start()]
-        if not matches:
-            continue
-        u = rng.random(len(matches))
-        for k, m in enumerate(matches):
-            if u[k] >= rate:
-                continue
+        for m in _strike(g.sites(text), rate, rng):
             key = (g.pattern, m.group())
             cached = option_cache.get(key)
             if cached is None:
@@ -193,12 +189,8 @@ def gemination_sites(text: str) -> list[int]:
 
 
 def _plan_gemination(text: str, rate: float, rng: np.random.Generator) -> list[Plan]:
-    sites = gemination_sites(text)
-    if not sites or rate == 0.0:
-        return []
-    u = rng.random(len(sites))
     cat = ErrorCategory.ASSIMILATION_GEMINATION
-    return [Plan(i, i + 1, "", cat) for k, i in enumerate(sites) if u[k] < rate]
+    return [Plan(i, i + 1, "", cat) for i in _strike(gemination_sites(text), rate, rng)]
 
 
 _VOICELESS = frozenset("ptksš")
@@ -219,15 +211,9 @@ def assimilation_sites(text: str) -> list[int]:
 
 
 def _plan_assimilation(text: str, rate: float, rng: np.random.Generator) -> list[Plan]:
-    sites = assimilation_sites(text)
-    if not sites or rate == 0.0:
-        return []
-    u = rng.random(len(sites))
     plans: list[Plan] = []
     cat = ErrorCategory.ASSIMILATION_GEMINATION
-    for k, i in enumerate(sites):
-        if u[k] >= rate:
-            continue
+    for i in _strike(assimilation_sites(text), rate, rng):
         ch = text[i]
         swapped = VOICING_SWAP[ch.lower()]
         if ch.isupper():
@@ -266,16 +252,9 @@ def casing_sites(text: str) -> list[int]:
 
 
 def _plan_casing(text: str, rate: float, rng: np.random.Generator) -> list[Plan]:
-    sites = casing_sites(text)
-    if not sites or rate == 0.0:
-        return []
-    u = rng.random(len(sites))
     cat = ErrorCategory.CASING
-    return [
-        Plan(i, i + 1, text[i].swapcase(), cat)
-        for k, i in enumerate(sites)
-        if u[k] < rate
-    ]
+    return [Plan(i, i + 1, text[i].swapcase(), cat)
+            for i in _strike(casing_sites(text), rate, rng)]
 
 
 def space_sites(text: str) -> tuple[list[int], list[int]]:
@@ -291,13 +270,8 @@ def space_sites(text: str) -> tuple[list[int], list[int]]:
 def _plan_spaces(text: str, rate: float, rng: np.random.Generator) -> list[Plan]:
     dels, ins = space_sites(text)
     cat = ErrorCategory.SPACES
-    plans: list[Plan] = []
-    if dels and rate > 0.0:
-        u = rng.random(len(dels))
-        plans.extend(Plan(i, i + 1, "", cat) for k, i in enumerate(dels) if u[k] < rate)
-    if ins and rate > 0.0:
-        u = rng.random(len(ins))
-        plans.extend(Plan(i, i, " ", cat) for k, i in enumerate(ins) if u[k] < rate)
+    plans = [Plan(i, i + 1, "", cat) for i in _strike(dels, rate, rng)]
+    plans.extend(Plan(i, i, " ", cat) for i in _strike(ins, rate, rng))
     return plans
 
 
@@ -322,41 +296,25 @@ def _quote_style_options() -> tuple[list[str], np.ndarray]:
 
 
 def _plan_rule_errors(text: str, rate: float, rng: np.random.Generator) -> list[Plan]:
-    plans: list[Plan] = []
     quotes = [i for i, ch in enumerate(text) if ch in _QUOTE_GLYPHS]
-    if quotes and rate > 0.0:
-        options, probs = _quote_style_options()
-        u = rng.random(len(quotes))
-        for k, i in enumerate(quotes):
-            if u[k] >= rate:
-                continue
-            repl = options[int(rng.choice(len(options), p=probs))]
-            plans.append(Plan(i, i + 1, repl, ErrorCategory.PUNCTUATION))
+    options, probs = _quote_style_options()
+    plans = [
+        Plan(i, i + 1, options[int(rng.choice(len(options), p=probs))], ErrorCategory.PUNCTUATION)
+        for i in _strike(quotes, rate, rng)
+    ]
 
     seen: set[int] = set()
     for regex in _MISSING_INVERSES:
         for m in regex.finditer(text):
             seen.add(m.end() - 1)
     spaces = sorted(seen)
-    if spaces and rate > 0.0:
-        u = rng.random(len(spaces))
-        plans.extend(
-            Plan(i, i + 1, "", ErrorCategory.SPACES)
-            for k, i in enumerate(spaces)
-            if u[k] < rate
-        )
+    plans.extend(Plan(i, i + 1, "", ErrorCategory.SPACES) for i in _strike(spaces, rate, rng))
 
     punct = [
         i for i, ch in enumerate(text)
         if ch in _PUNCT_AFTER and i > 0 and not text[i - 1].isspace()
     ]
-    if punct and rate > 0.0:
-        u = rng.random(len(punct))
-        plans.extend(
-            Plan(i, i, " ", ErrorCategory.SPACES)
-            for k, i in enumerate(punct)
-            if u[k] < rate
-        )
+    plans.extend(Plan(i, i, " ", ErrorCategory.SPACES) for i in _strike(punct, rate, rng))
     return plans
 
 
@@ -364,9 +322,10 @@ def _plan_rule_errors(text: str, rate: float, rng: np.random.Generator) -> list[
 # Public single-family ops: corrupt text with one family, returning the new
 # text and the exact inverse edits.
 
-def _run_family(text: str, plans: list[Plan]) -> tuple[str, list[Edit]]:
-    kept = drop_conflicting(plans, [])
-    return apply_plans(text, [], kept)
+def _run_family(text: str, plans: list[Plan], raw=()) -> tuple[str, list[Edit]]:
+    """Apply the plans that clash with neither ``raw``, the inverse edits of
+    earlier families, nor an earlier plan."""
+    return apply_plans(text, raw, drop_conflicting(plans, raw))
 
 
 def corrupt_typos(text: str, cfg: CorruptionConfig, kbd: KeyboardModel,
@@ -421,6 +380,11 @@ def _categorize_canonical(canonical: list[Edit], raw: list[Edit]) -> list[Edit]:
     return out
 
 
+def _gold_pair(sample: TextSample, text: str, raw: list[Edit]) -> ParallelPair:
+    gold = _categorize_canonical(extract_edits(text, sample.text), raw)
+    return ParallelPair(sample.id, text, sample.text, tuple(gold))
+
+
 def corrupt(sample: TextSample, cfg: CorruptionConfig,
             table: ConfusionTable | None = None,
             kbd: KeyboardModel | None = None) -> ParallelPair:
@@ -453,13 +417,8 @@ def corrupt(sample: TextSample, cfg: CorruptionConfig,
         if not on:
             continue
         rng = sample_rng(cfg.seed, sample.id, index)
-        plans = planner(text, rng)
-        kept = drop_conflicting(plans, raw)
-        text, raw = apply_plans(text, raw, kept)
-
-    canonical = extract_edits(text, sample.text)
-    gold = _categorize_canonical(canonical, raw)
-    return ParallelPair(sample.id, text, sample.text, tuple(gold))
+        text, raw = _run_family(text, planner(text, rng), raw)
+    return _gold_pair(sample, text, raw)
 
 
 _RULE_ERROR_STREAM = 6  # family index reserved for the rule-error generator
@@ -470,9 +429,5 @@ def corrupt_rule_errors(sample: TextSample, rate: float = 0.02,
     """Corrupt with quote-style swaps and the space errors the cleanup fixers
     undo; every emitted error is rule-invertible."""
     rng = sample_rng(seed, sample.id, _RULE_ERROR_STREAM)
-    plans = _plan_rule_errors(sample.text, rate, rng)
-    kept = drop_conflicting(plans, [])
-    text, raw = apply_plans(sample.text, [], kept)
-    canonical = extract_edits(text, sample.text)
-    gold = _categorize_canonical(canonical, raw)
-    return ParallelPair(sample.id, text, sample.text, tuple(gold))
+    text, raw = _run_family(sample.text, _plan_rule_errors(sample.text, rate, rng))
+    return _gold_pair(sample, text, raw)

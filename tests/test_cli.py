@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 
 import pytest
 
@@ -174,11 +175,54 @@ class TestEvaluate:
         assert main(["evaluate", str(gold_file), str(hyp)]) == 1
         assert "error E_INPUT" in capsys.readouterr().err
 
+    def test_inconsistent_jsonl_gold_is_input_error(self, gold_file, tmp_path, capsys):
+        records = gold_file.read_text(encoding="utf-8").splitlines()
+        bad = json.loads(records[1])
+        bad["target"] += "!"
+        records[1] = json.dumps(bad, ensure_ascii=False)
+        gold_file.write_text("\n".join(records) + "\n", encoding="utf-8")
+        hyp = tmp_path / "hyp.txt"
+        hyp.write_text("x\n" * len(records), encoding="utf-8")
+        assert main(["evaluate", str(gold_file), str(hyp)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error E_INPUT: bad pair record on line 2:")
+        assert "do not turn the source into the target" in err
+
     def test_line_count_mismatch_is_input_error(self, gold_file, tmp_path, capsys):
         hyp = tmp_path / "hyp.txt"
         hyp.write_text("viena eilutė\n", encoding="utf-8")
         assert main(["evaluate", str(gold_file), str(hyp)]) == 1
         assert "error E_INPUT" in capsys.readouterr().err
+
+
+class TestJobs:
+    @pytest.fixture(autouse=True)
+    def no_pool(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+        monkeypatch.setattr(multiprocessing, "Pool", refuse)
+
+    @pytest.mark.parametrize("command", ["preprocess", "corrupt", "correct"])
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_below_one_rejected(self, command, jobs, corpus_file, tmp_path, capsys):
+        extra = ["--seed", "1"] if command == "corrupt" else []
+        code = main([command, str(corpus_file), str(tmp_path / "o.jsonl"),
+                     "--jobs", jobs, *extra])
+        assert code == 1
+        assert "error E_INPUT: --jobs must be a positive integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0", "1.5"])
+    def test_bad_config_value_rejected(self, value, corpus_file, tmp_path, capsys):
+        cfg = tmp_path / "ltgec.cfg"
+        cfg.write_text(f"jobs = {value}\n", encoding="utf-8")
+        code = main(["corrupt", str(corpus_file), str(tmp_path / "o.jsonl"),
+                     "--seed", "1", "--config", str(cfg)])
+        assert code == 1
+        assert "error E_INPUT: --jobs must be a positive integer" in capsys.readouterr().err
+
+    def test_one_job_runs_in_process(self, corpus_file, tmp_path):
+        assert main(["corrupt", str(corpus_file), str(tmp_path / "o.jsonl"),
+                     "--seed", "1", "--jobs", "1"]) == 0
 
 
 class TestStats:

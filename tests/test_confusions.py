@@ -22,6 +22,9 @@ def group_for(pattern: str) -> ConfusionGroup:
 
 
 class TestDefaultTable:
+    def test_built_once(self):
+        assert default_table() is default_table()
+
     def test_group_count(self):
         assert len(default_table().groups) == 16
 

@@ -109,6 +109,21 @@ class TestCandidates:
         assert len(cands) == len(set(cands))
 
 
+class TestChannelModel:
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"typo_rate": 1.0}, r"typo_rate must be in \[0, 1\)"),
+        ({"typo_rate": -0.5}, r"typo_rate must be in \[0, 1\)"),
+        ({"confusion_rate": 1.5}, "confusion_rate"),
+        ({"other_rate": float("nan")}, "other_rate"),
+        ({"typo_mix": {"substitution": 1.0}}, "exactly the keys"),
+        ({"typo_mix": {"substitution": 0.5, "deletion": 0.5,
+                       "insertion": 0.5, "transposition": 0.0}}, "sum to 1"),
+    ])
+    def test_rejects_what_corruption_config_rejects(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            ChannelModel(**kwargs)
+
+
 class TestNoisyChannel:
     # at the default 2% confusion rate the channel penalty for one
     # substitution is about 49x, so flips need a strongly supportive prior

@@ -1,4 +1,5 @@
 import io
+import json
 
 import pytest
 from hypothesis import given
@@ -151,6 +152,18 @@ class TestPairIO:
         assert write_pairs(pairs, buf) == 2
         buf.seek(0)
         assert list(read_pairs(buf)) == pairs
+
+    @pytest.mark.parametrize("edits,message", [
+        ([[0, 2, "x", None], [1, 3, "y", None]], "overlaps"),
+        ([[3, 5, "x", None]], "extends past"),
+        ([[2, 3, "a", None], [0, 1, "b", None]], "not sorted"),
+        ([[0, 1, "z", None]], "do not turn the source into the target"),
+    ])
+    def test_rejects_gold_that_m2_rejects(self, edits, message):
+        line = pair_to_json(ParallelPair("p", "abcd", "xcd", ()))
+        line = line.replace('"edits": []', f'"edits": {json.dumps(edits)}')
+        with pytest.raises(ValueError, match=message):
+            pair_from_json(line)
 
     def test_bad_record_reports_line(self):
         buf = io.StringIO('{"id": "1", "source": "a", "target": "a", "edits": []}\nnope\n')

@@ -1,0 +1,189 @@
+"""Golden outputs and reference predicates.
+
+The digests below are SHA-256 sums of ``corrupt``, ``corrupt_rule_errors``,
+``noisy_channel_correct`` and ``score`` outputs on fixed inputs, recorded
+before the error families were moved onto shared site functions and one draw
+rule. A refactor that keeps behaviour keeps every digest. The evaluator's old
+gemination and assimilation shape tests are kept here verbatim as the
+reference for the site-function versions.
+"""
+
+import hashlib
+import itertools
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import PARAGRAPHS, make_corpus
+from ltgec.corpus import TextSample
+from ltgec.corrector import build_unigram, noisy_channel_correct
+from ltgec.edits import Edit, ErrorCategory, pair_to_json
+from ltgec.evaluator import _is_assimilation_shape, _is_gemination_shape, score
+from ltgec.noiser import CorruptionConfig, corrupt, corrupt_rule_errors
+
+# Pseudo-sentences, the real paragraphs (quotes, abbreviations, dates) and
+# one multi-line sample, so line-break skipping is exercised too.
+SAMPLES = (
+    make_corpus(200, seed=3)
+    + [TextSample(f"p{k}", text) for k, text in enumerate(PARAGRAPHS)]
+    + [TextSample("lines", "\n".join(PARAGRAPHS[:3]))]
+)
+
+CONFIGS = {
+    "default-seed0": CorruptionConfig(seed=0),
+    "default-seed42": CorruptionConfig(seed=42),
+    "rate0.3": CorruptionConfig(typo_rate=0.3, confusion_rate=0.3, other_rate=0.3),
+    "assimilation-gemination": CorruptionConfig(
+        other_rate=0.3,
+        enabled_groups=frozenset({ErrorCategory.ASSIMILATION_GEMINATION}),
+    ),
+}
+
+DIGESTS = {
+    "corrupt/default-seed0":
+        "ab40b146a1317d35f15b092b9d1848e2b2216ac501afb8e2a71e657a6964d3c6",
+    "corrupt/default-seed42":
+        "c9fd9e43359180d61566e68e080b794566745b5f791374e4f7261533a8a5efe9",
+    "corrupt/rate0.3":
+        "658c2caf37aef67aaceb4eb593c7def3fd483995189e661b3682d3cea72f86ad",
+    "corrupt/assimilation-gemination":
+        "563f7a77c9b51970d65fd546baae1a4b2dab0d785d2eb1aa9dafe5dc2477f8b3",
+    "corrupt_rule_errors/rate0.4":
+        "0c910c8c58c8f25024715c7661fb850bed52aa5b06728ab5b7255b201870cadb",
+    "noisy_channel_correct":
+        "39c64b1d31687245374d7d93e2a0f46653c2a33020df08c6a5eb49533a3a6b92",
+    "score/noisy":
+        "7181bd08d2ea4b280749b862ca38a52ac4c7567de98d43920dc76ac924d87daa",
+    "score/cross-seed":
+        "4dcf154b5bc5cbeb66cc02a97331804adbee39452ca8c79ec7b0b1d8dad10c7f",
+}
+
+
+def digest(lines) -> str:
+    return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def corrupted():
+    return {name: [corrupt(s, cfg) for s in SAMPLES] for name, cfg in CONFIGS.items()}
+
+
+@pytest.fixture(scope="module")
+def noisy():
+    """Twenty moderately corrupted samples and their noisy-channel fixes."""
+    cfg = CorruptionConfig(typo_rate=0.05, confusion_rate=0.05, other_rate=0.05)
+    pairs = [corrupt(s, cfg) for s in SAMPLES[:20]]
+    model = build_unigram([s.text for s in make_corpus(1000, seed=9)])
+    return pairs, [noisy_channel_correct(p.source, model) for p in pairs]
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_corrupt(corrupted, name):
+    assert digest(map(pair_to_json, corrupted[name])) == DIGESTS[f"corrupt/{name}"]
+
+
+def test_corrupt_rule_errors():
+    pairs = [corrupt_rule_errors(s, rate=0.4) for s in SAMPLES]
+    assert digest(map(pair_to_json, pairs)) == DIGESTS["corrupt_rule_errors/rate0.4"]
+
+
+def test_noisy_channel_correct(noisy):
+    pairs, hyps = noisy
+    assert sum(h != p.source for p, h in zip(pairs, hyps)) > 10
+    assert digest(hyps) == DIGESTS["noisy_channel_correct"]
+    assert digest([score(pairs, hyps).to_json()]) == DIGESTS["score/noisy"]
+
+
+def test_score_cross_seed(corrupted):
+    # another seed's corruption as the hypothesis: every spurious edit shape
+    # goes through classify_edit
+    hyps = [p.source for p in corrupted["default-seed42"]]
+    report = score(corrupted["default-seed0"], hyps)
+    assert digest([report.to_json()]) == DIGESTS["score/cross-seed"]
+
+
+# ---------------------------------------------------------------------------
+# The evaluator's shape tests as they were written against the noiser's
+# private letter sets, kept verbatim as the reference.
+
+_CONSONANTS = frozenset("bcčdfghjklmnprsštvzžqwx")
+_SIBILANTS = frozenset("cčsšzž")
+_VOICELESS = frozenset("ptksš")
+_VOICED = frozenset("bdgzž")
+VOICING_SWAP = {"p": "b", "b": "p", "t": "d", "d": "t", "k": "g", "g": "k",
+                "s": "z", "z": "s", "š": "ž", "ž": "š"}
+
+
+def _ref_gemination_shape(edit: Edit, source: str) -> bool:
+    span = source[edit.start:edit.end]
+    repl = edit.replacement
+    if span and repl:
+        return False
+    letter = repl or span
+    if len(letter) != 1 or letter.lower() not in _CONSONANTS:
+        return False
+    lo = letter.lower()
+    left = source[edit.start - 1] if edit.start > 0 else ""
+    right = source[edit.end] if edit.end < len(source) else ""
+    for neighbor in (left, right):
+        if not neighbor:
+            continue
+        nb = neighbor.lower()
+        if nb == lo or (nb in _SIBILANTS and lo in _SIBILANTS):
+            return True
+    return False
+
+
+def _ref_assimilation_shape(edit: Edit, source: str) -> bool:
+    span = source[edit.start:edit.end]
+    repl = edit.replacement
+    if len(span) != 1 or len(repl) != 1:
+        return False
+    x = span.lower()
+    y = repl.lower()
+    if VOICING_SWAP.get(x) != y:
+        return False
+    if edit.end >= len(source):
+        return False
+    trigger = source[edit.end].lower()
+    # the corrupted letter must agree in voicing with what follows it, which
+    # is what assimilation produces and a plain letter swap usually does not
+    if x in _VOICELESS:
+        return trigger in _VOICELESS
+    return trigger in _VOICED
+
+
+def assert_shapes_agree(edit: Edit, source: str) -> None:
+    assert _is_gemination_shape(edit, source) == _ref_gemination_shape(edit, source)
+    assert _is_assimilation_shape(edit, source) == _ref_assimilation_shape(edit, source)
+
+
+SHAPE_ALPHABET = "ssSšzbpPtdgkaAxž čİ"
+
+
+@st.composite
+def edits_in_context(draw):
+    source = draw(st.text(SHAPE_ALPHABET, max_size=5))
+    start = draw(st.integers(0, len(source)))
+    end = draw(st.integers(start, min(len(source), start + 2)))
+    return Edit(start, end, draw(st.text(SHAPE_ALPHABET, max_size=2))), source
+
+
+@settings(max_examples=500)
+@given(edits_in_context())
+def test_shapes_match_reference(case):
+    assert_shapes_agree(*case)
+
+
+def test_shapes_match_reference_exhaustively():
+    # every edit of at most one character over every source of up to three
+    # characters drawn from letters that cover each branch of both tests
+    letters = "sSšzbtaž"
+    for n in range(4):
+        for chars in itertools.product(letters, repeat=n):
+            source = "".join(chars)
+            for start in range(n + 1):
+                for end in range(start, min(n, start + 1) + 1):
+                    for repl in ("", *letters):
+                        assert_shapes_agree(Edit(start, end, repl), source)

@@ -8,6 +8,10 @@ def kbd():
     return default_keyboard()
 
 
+def test_default_keyboard_is_built_once():
+    assert default_keyboard() is default_keyboard()
+
+
 class TestAdjacency:
     def test_home_row_neighbors(self, kbd):
         ns = set(kbd.neighbors("s"))
