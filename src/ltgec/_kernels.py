@@ -56,14 +56,17 @@ def dl_matrix(a: np.ndarray, b: np.ndarray) -> DeltaColumns:
         peq[ch] = peq.get(ch, 0) | 1 << i
     d0, vp, vn, eq_prev = 0, mask, 0, 0
     d0s, vps = [0], [mask]
+    # Every value stays in [0, 2**(n+1)): ``~x & mask`` is written ``mask ^ x``
+    # and ``~d0 & eq`` is ``eq ^ eq & d0``, the same bits without the slower
+    # path CPython takes for bitwise operations on negative ints.
     for ch in b.tolist():
         eq = peq.get(ch, 0)
-        tr = (~d0 & eq) << 1 & eq_prev
+        tr = (eq ^ eq & d0) << 1 & eq_prev
         d0 = ((eq & vp) + vp ^ vp | eq | vn | tr) & mask
         # Horizontal +1/-1 deltas, moved down one row; row 0 gets +1 (d[0][j] = j).
-        hp = (vn | ~(d0 | vp)) << 1 & mask | 1
+        hp = (vn | mask ^ (d0 | vp)) << 1 & mask | 1
         hn = (d0 & vp) << 1
-        vp = (hn | ~(d0 | hp)) & mask
+        vp = (hn | mask ^ (d0 | hp)) & mask
         vn = hp & d0
         d0s.append(d0)
         vps.append(vp)

@@ -41,40 +41,60 @@ def _encode(text: str) -> np.ndarray:
     return np.array([ord(ch) for ch in text], dtype=np.int32)
 
 
-def align(a: str, b: str) -> AlignmentScript:
-    """Minimum-cost edit script turning ``a`` into ``b``."""
+def _backtrace(a: str, b: str) -> tuple[list[tuple[str, int, int, int, int]], int]:
+    """The non-match steps of the minimum-cost script turning ``a`` into
+    ``b``, in text order, and its cost.
+
+    A step ``(kind, i, j, di, dj)`` turns ``a[i:i + di]`` into ``b[j:j + dj]``;
+    every gap between steps is a run of matches. The walk runs from the last
+    cell and tests, in order: match, substitute, transpose, delete, insert.
+    """
     cols = dl_matrix(_encode(a), _encode(b))
-    # Each bit test below is the DP equality test it stands for: diagonal
-    # deltas are 0 or 1, so d0 decides d[i-1][j-1] (+1) == d[i][j], and the
-    # transposition cost d[i][j] - d[i-2][j-2] is 2 minus two d0 bits.
+    # Each bit test below is the DP equality test it stands for. Diagonal
+    # deltas are 0 or 1, so equal letters always give d[i][j] == d[i-1][j-1]
+    # (a match needs no bit test), and after a failed match test a clear d0
+    # bit is d[i-1][j-1] + 1 == d[i][j]. A transposition is then tested with
+    # d0[j] set, so its cost d[i][j] - d[i-2][j-2] == 1 means d0[j-1] clear.
     d0, vp = cols.d0, cols.vp
-    ops: list[AlignOp] = []
+    steps = []
     i, j = len(a), len(b)
-    while i > 0 or j > 0:
-        if i > 0 and j > 0 and a[i - 1] == b[j - 1] and d0[j] >> (i - 1) & 1:
-            ops.append(AlignOp(MATCH, i - 1, j - 1, a[i - 1], b[j - 1]))
+    while True:
+        while i and j and a[i - 1] == b[j - 1]:
             i -= 1
             j -= 1
-        elif i > 0 and j > 0 and a[i - 1] != b[j - 1] and not d0[j] >> (i - 1) & 1:
-            ops.append(AlignOp(SUBSTITUTE, i - 1, j - 1, a[i - 1], b[j - 1]))
-            i -= 1
-            j -= 1
+        if not (i or j):
+            break
+        if i and j and not d0[j] >> (i - 1) & 1:
+            kind, di, dj = SUBSTITUTE, 1, 1
         elif (
             i > 1 and j > 1
             and a[i - 1] == b[j - 2] and a[i - 2] == b[j - 1]
-            and (d0[j] >> (i - 1) & 1) + (d0[j - 1] >> (i - 2) & 1) == 1
+            and not d0[j - 1] >> (i - 2) & 1
         ):
-            ops.append(AlignOp(TRANSPOSE, i - 2, j - 2, a[i - 2:i], b[j - 2:j]))
-            i -= 2
-            j -= 2
-        elif i > 0 and vp[j] >> (i - 1) & 1:
-            ops.append(AlignOp(DELETE, i - 1, j, a[i - 1], ""))
-            i -= 1
+            kind, di, dj = TRANSPOSE, 2, 2
+        elif i and vp[j] >> (i - 1) & 1:
+            kind, di, dj = DELETE, 1, 0
         else:
-            ops.append(AlignOp(INSERT, i, j - 1, "", b[j - 1]))
-            j -= 1
-    ops.reverse()
-    return AlignmentScript(tuple(ops), cols.distance)
+            kind, di, dj = INSERT, 0, 1
+        i -= di
+        j -= dj
+        steps.append((kind, i, j, di, dj))
+    steps.reverse()
+    return steps, cols.distance
+
+
+def align(a: str, b: str) -> AlignmentScript:
+    """Minimum-cost edit script turning ``a`` into ``b``."""
+    steps, cost = _backtrace(a, b)
+    ops: list[AlignOp] = []
+    i = j = 0
+    # An empty step at the end closes the last run of matches.
+    for kind, si, sj, di, dj in [*steps, (MATCH, len(a), len(b), 0, 0)]:
+        ops.extend(AlignOp(MATCH, i + k, j + k, a[i + k], b[j + k]) for k in range(si - i))
+        if di or dj:
+            ops.append(AlignOp(kind, si, sj, a[si:si + di], b[sj:sj + dj]))
+        i, j = si + di, sj + dj
+    return AlignmentScript(tuple(ops), cost)
 
 
 def replay(script: AlignmentScript, a: str) -> str:
@@ -99,23 +119,13 @@ def extract_edits(source: str, hypothesis: str) -> list[Edit]:
     result is a sorted list of disjoint spans with their replacement texts.
     Categories are left unset; see evaluator.classify_edit.
     """
-    script = align(source, hypothesis)
-    edits: list[Edit] = []
-    run_start = -1
-    run_end = -1
-    run_repl: list[str] = []
-    for op in script.ops:
-        if op.kind == MATCH:
-            if run_start >= 0:
-                edits.append(Edit(run_start, run_end, "".join(run_repl)))
-                run_start = -1
-                run_repl = []
-            continue
-        if run_start < 0:
-            run_start = op.src_pos
-            run_end = op.src_pos
-        run_end += len(op.src_text)
-        run_repl.append(op.dst_text)
-    if run_start >= 0:
-        edits.append(Edit(run_start, run_end, "".join(run_repl)))
-    return edits
+    # Matches move i and j together, so a step that starts where the last
+    # run ends in the source follows it with no match between.
+    runs: list[list[int]] = []
+    for _, i, j, di, dj in _backtrace(source, hypothesis)[0]:
+        if runs and runs[-1][1] == i:
+            runs[-1][1] += di
+            runs[-1][3] += dj
+        else:
+            runs.append([i, i + di, j, j + dj])
+    return [Edit(i0, i1, hypothesis[j0:j1]) for i0, i1, j0, j1 in runs]

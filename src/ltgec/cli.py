@@ -157,6 +157,7 @@ def _corrupt_rule_one(sample, rate, seed):
 def _cmd_corrupt(args) -> int:
     samples = _read_sample_file(args.input, args.format)
     if args.rule_errors:
+        noiser.check_rate("--rate", args.rate)
         worker = functools.partial(_corrupt_rule_one, rate=args.rate, seed=args.seed)
     else:
         cfg = noiser.CorruptionConfig(
@@ -391,7 +392,10 @@ def _coerce(value: str):
     return value
 
 
-def load_config(path: str, known_keys: set[str]) -> dict:
+def load_config(path: str, known_keys: dict[str, type | None]) -> dict:
+    """Defaults from a ``key = value`` file; ``known_keys`` maps each key to
+    its option's type. A value that reads as no number for an int or float
+    option is an input error here, as argparse would print its usage for it."""
     values: dict = {}
     try:
         with open(path, encoding="utf-8") as fp:
@@ -406,18 +410,21 @@ def load_config(path: str, known_keys: set[str]) -> dict:
                 if key not in known_keys:
                     raise CliError(E_CONFIG, f"{path}:{lineno}: unknown key {key!r}")
                 values[key] = _coerce(value.strip())
+                if isinstance(values[key], str) and known_keys[key] in (int, float):
+                    raise CliError(E_INPUT, f"{path}:{lineno}: {key} needs a number, "
+                                            f"got {values[key]!r}")
     except OSError as exc:
         raise CliError(E_IO, f"cannot read config {path}: {exc}") from exc
     return values
 
 
-def _known_config_keys(parser: argparse.ArgumentParser) -> set[str]:
-    keys: set[str] = set()
+def _known_config_keys(parser: argparse.ArgumentParser) -> dict[str, type | None]:
+    keys: dict[str, type | None] = {}
     for action in parser._actions:
         if isinstance(action, argparse._SubParsersAction):
             for sp in action.choices.values():
                 keys.update(
-                    a.dest for a in sp._actions
+                    (a.dest, a.type) for a in sp._actions
                     if a.dest not in ("help", "config", "func")
                     and not a.required and a.option_strings
                 )

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, TextIO
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TextSample:
     """One corpus sample; ``source`` optionally names where it came from."""
 

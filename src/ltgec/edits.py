@@ -26,7 +26,7 @@ class ErrorCategory(Enum):
 CATEGORY_BY_VALUE = {cat.value: cat for cat in ErrorCategory}
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Edit:
     start: int
     end: int
@@ -38,7 +38,7 @@ class Edit:
             raise ValueError(f"bad edit span [{self.start}, {self.end})")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ParallelPair:
     """A (corrupted source, reference target) pair with gold edits."""
 

@@ -102,7 +102,7 @@ def classify_edit(edit: Edit, source: str, table: ConfusionTable | None = None) 
     return ErrorCategory.TYPOGRAPHICAL
 
 
-@dataclass
+@dataclass(slots=True)
 class CategoryScore:
     tp: int = 0
     fp: int = 0
@@ -118,7 +118,7 @@ class CategoryScore:
         return self.tp / (self.tp + self.fn) if self.tp + self.fn else 1.0
 
 
-@dataclass
+@dataclass(slots=True)
 class EvalReport:
     beta: float
     pairs: int

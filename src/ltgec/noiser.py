@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import re
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,14 +41,18 @@ DEFAULT_TYPO_MIX = {
 ALL_GROUPS = frozenset(ErrorCategory) - {ErrorCategory.OTHER}
 
 
+def check_rate(name: str, rate: float, allow_one: bool = True) -> None:
+    """Reject a rate outside [0, 1], or outside [0, 1) without ``allow_one``,
+    for callers that divide by 1 - rate."""
+    if not (0.0 <= rate <= 1.0 and (allow_one or rate < 1.0)):
+        raise ValueError(f"{name} must be in [0, 1{']' if allow_one else ')'}, got {rate}")
+
+
 def check_rates(params, allow_one: bool = True) -> None:
     """Validate the three family rates and the typo mix of ``params``, a
-    CorruptionConfig or a channel model. Rates lie in [0, 1], or in [0, 1)
-    without ``allow_one``, for callers that divide by 1 - rate."""
+    CorruptionConfig or a channel model."""
     for name in ("typo_rate", "confusion_rate", "other_rate"):
-        rate = getattr(params, name)
-        if not (0.0 <= rate <= 1.0 and (allow_one or rate < 1.0)):
-            raise ValueError(f"{name} must be in [0, 1{']' if allow_one else ')'}, got {rate}")
+        check_rate(name, getattr(params, name), allow_one)
     if set(params.typo_mix) != set(TYPO_OPS):
         raise ValueError(f"typo_mix must have exactly the keys {TYPO_OPS}")
     if any(w < 0 for w in params.typo_mix.values()):
@@ -359,23 +364,28 @@ def corrupt_spaces(text: str, rate: float, rng: np.random.Generator) -> tuple[st
 # canonicalized through alignment extraction with categories mapped back from
 # the raw corruption spans.
 
-def _span_gap(a_start: int, a_end: int, b_start: int, b_end: int) -> int:
-    return max(b_start - a_end, a_start - b_end, 0)
-
-
 def _categorize_canonical(canonical: list[Edit], raw: list[Edit]) -> list[Edit]:
+    """Give each canonical edit the category of the first raw edit, in list
+    order, with the least gap to it.
+
+    Raw edits are sorted and disjoint, so their starts and ends never fall.
+    Against an edit [s, t), the gap is s - r.end while r.end < s, which never
+    rises, then max(r.start - t, 0) from the first raw edit with r.end >= s
+    on, which never falls. So the least gap lies at that raw edit or at the
+    first raw edit sharing its predecessor's end (zero-width raw edits can
+    repeat an end).
+    """
     if not raw:
         return canonical
+    ends = [r.end for r in raw]
     out: list[Edit] = []
     for e in canonical:
+        k = bisect_left(ends, e.start)
         best = None
-        best_gap = None
-        for r in raw:
-            gap = _span_gap(e.start, e.end, r.start, r.end)
-            if best_gap is None or gap < best_gap:
-                best, best_gap = r, gap
-                if gap == 0:
-                    break
+        if k < len(raw):
+            best, gap = raw[k], max(raw[k].start - e.end, 0)
+        if k and (best is None or e.start - ends[k - 1] <= gap):
+            best = raw[bisect_left(ends, ends[k - 1], 0, k)]
         out.append(Edit(e.start, e.end, e.replacement, best.category))
     return out
 
@@ -428,6 +438,7 @@ def corrupt_rule_errors(sample: TextSample, rate: float = 0.02,
                         seed: int = 0) -> ParallelPair:
     """Corrupt with quote-style swaps and the space errors the cleanup fixers
     undo; every emitted error is rule-invertible."""
+    check_rate("rate", rate)
     rng = sample_rng(seed, sample.id, _RULE_ERROR_STREAM)
     text, raw = _run_family(sample.text, _plan_rule_errors(sample.text, rate, rng))
     return _gold_pair(sample, text, raw)

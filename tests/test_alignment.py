@@ -192,6 +192,29 @@ def rebuild_matrix(a: str, b: str) -> np.ndarray:
     return d
 
 
+def merge_runs(ops) -> list[Edit]:
+    """Reference run merge: the loop extract_edits ran over align's ops."""
+    edits: list[Edit] = []
+    run_start = -1
+    run_end = -1
+    run_repl: list[str] = []
+    for op in ops:
+        if op.kind == MATCH:
+            if run_start >= 0:
+                edits.append(Edit(run_start, run_end, "".join(run_repl)))
+                run_start = -1
+                run_repl = []
+            continue
+        if run_start < 0:
+            run_start = op.src_pos
+            run_end = op.src_pos
+        run_end += len(op.src_text)
+        run_repl.append(op.dst_text)
+    if run_start >= 0:
+        edits.append(Edit(run_start, run_end, "".join(run_repl)))
+    return edits
+
+
 class TestReference:
     @given(near_pairs())
     def test_matrix_equals_loops(self, pair):
@@ -203,10 +226,16 @@ class TestReference:
         a, b = pair
         assert align(a, b) == reference_align(a, b)
 
+    @given(near_pairs())
+    def test_extract_edits_merges_reference_runs(self, pair):
+        a, b = pair
+        assert extract_edits(a, b) == merge_runs(reference_align(a, b).ops)
+
     @pytest.mark.parametrize("a,b", [("", ""), ("", "ab"), ("abc", ""), ("ab", "ba")])
     def test_empty_and_tiny(self, a, b):
         assert np.array_equal(rebuild_matrix(a, b), _dl_matrix_loops(_encode(a), _encode(b)))
         assert align(a, b) == reference_align(a, b)
+        assert extract_edits(a, b) == merge_runs(reference_align(a, b).ops)
 
 
 class TestMemory:

@@ -120,6 +120,16 @@ class TestCorrupt:
         pairs = load_pairs(out)
         assert any(p.edits for p in pairs)
 
+    @pytest.mark.parametrize("rate", ["-1", "5"])
+    def test_rule_error_rate_outside_unit_interval_rejected(self, rate, corpus_file,
+                                                            tmp_path, capsys):
+        code = main(["corrupt", str(corpus_file), str(tmp_path / "o.jsonl"),
+                     "--seed", "7", "--rule-errors", "--rate", rate])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error E_INPUT: --rate must be in [0, 1]")
+        assert err.count("\n") == 1
+
     def test_jobs_do_not_change_output(self, corpus_file, tmp_path):
         one = tmp_path / "one.jsonl"
         four = tmp_path / "four.jsonl"
@@ -219,6 +229,15 @@ class TestJobs:
                      "--seed", "1", "--config", str(cfg)])
         assert code == 1
         assert "error E_INPUT: --jobs must be a positive integer" in capsys.readouterr().err
+
+    def test_non_number_in_config_is_input_error(self, corpus_file, tmp_path, capsys):
+        cfg = tmp_path / "ltgec.cfg"
+        cfg.write_text("jobs = two\n", encoding="utf-8")
+        code = main(["corrupt", str(corpus_file), str(tmp_path / "o.jsonl"),
+                     "--seed", "1", "--config", str(cfg)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error E_INPUT: {cfg}:1: jobs needs a number, got 'two'\n"
 
     def test_one_job_runs_in_process(self, corpus_file, tmp_path):
         assert main(["corrupt", str(corpus_file), str(tmp_path / "o.jsonl"),

@@ -1,10 +1,12 @@
 import io
 import json
+import pickle
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ltgec.corpus import TextSample
 from ltgec.edits import (
     Edit,
     ErrorCategory,
@@ -19,6 +21,7 @@ from ltgec.edits import (
     read_pairs,
     write_pairs,
 )
+from ltgec.evaluator import CategoryScore, EvalReport
 
 CAT = ErrorCategory.TYPOGRAPHICAL
 
@@ -169,3 +172,22 @@ class TestPairIO:
         buf = io.StringIO('{"id": "1", "source": "a", "target": "a", "edits": []}\nnope\n')
         with pytest.raises(ValueError, match="line 2"):
             list(read_pairs(buf))
+
+
+# The CLI pickles samples and pairs to pool workers, and a pass keeps many of
+# these records alive, so each has slots and must still round-trip.
+RECORDS = [
+    Edit(1, 3, "ab", CAT),
+    ParallelPair("p1", "abc", "abd", (Edit(2, 3, "d", CAT),)),
+    TextSample("s1", "Labas rytas.", "news"),
+    CategoryScore(tp=2, fp=1, fn=3, samples=4),
+    EvalReport(beta=0.5, pairs=2, samples_affected=1, tp=2, fp=1, fn=0,
+               per_category={"typographical": CategoryScore(tp=2, fp=1)}),
+]
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+def test_record_has_slots_and_pickles(record):
+    assert not hasattr(record, "__dict__")
+    copy = pickle.loads(pickle.dumps(record))
+    assert copy == record and type(copy) is type(record)

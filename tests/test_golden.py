@@ -5,7 +5,8 @@ The digests below are SHA-256 sums of ``corrupt``, ``corrupt_rule_errors``,
 before the error families were moved onto shared site functions and one draw
 rule. A refactor that keeps behaviour keeps every digest. The evaluator's old
 gemination and assimilation shape tests are kept here verbatim as the
-reference for the site-function versions.
+reference for the site-function versions, and so is the noiser's old
+nested-loop category mapping as the reference for its bisecting version.
 """
 
 import hashlib
@@ -20,7 +21,12 @@ from ltgec.corpus import TextSample
 from ltgec.corrector import build_unigram, noisy_channel_correct
 from ltgec.edits import Edit, ErrorCategory, pair_to_json
 from ltgec.evaluator import _is_assimilation_shape, _is_gemination_shape, score
-from ltgec.noiser import CorruptionConfig, corrupt, corrupt_rule_errors
+from ltgec.noiser import (
+    CorruptionConfig,
+    _categorize_canonical,
+    corrupt,
+    corrupt_rule_errors,
+)
 
 # Pseudo-sentences, the real paragraphs (quotes, abbreviations, dates) and
 # one multi-line sample, so line-break skipping is exercised too.
@@ -187,3 +193,57 @@ def test_shapes_match_reference_exhaustively():
                 for end in range(start, min(n, start + 1) + 1):
                     for repl in ("", *letters):
                         assert_shapes_agree(Edit(start, end, repl), source)
+
+
+# ---------------------------------------------------------------------------
+# The noiser's category mapping as it scanned every raw edit for every
+# canonical edit, kept verbatim as the reference.
+
+def _span_gap(a_start: int, a_end: int, b_start: int, b_end: int) -> int:
+    return max(b_start - a_end, a_start - b_end, 0)
+
+
+def _ref_categorize_canonical(canonical: list[Edit], raw: list[Edit]) -> list[Edit]:
+    if not raw:
+        return canonical
+    out: list[Edit] = []
+    for e in canonical:
+        best = None
+        best_gap = None
+        for r in raw:
+            gap = _span_gap(e.start, e.end, r.start, r.end)
+            if best_gap is None or gap < best_gap:
+                best, best_gap = r, gap
+                if gap == 0:
+                    break
+        out.append(Edit(e.start, e.end, e.replacement, best.category))
+    return out
+
+
+@st.composite
+def raw_and_canonical(draw):
+    """Sorted, disjoint raw edits, often zero-width or touching, and spans
+    anywhere around them."""
+    raw, pos = [], 0
+    for gap, width, category in draw(st.lists(
+            st.tuples(st.integers(0, 3), st.integers(0, 2), st.sampled_from(ErrorCategory)),
+            max_size=8)):
+        pos += gap
+        raw.append(Edit(pos, pos + width, "", category))
+        pos += width
+    spans = draw(st.lists(st.tuples(st.integers(0, pos + 3), st.integers(0, 3)), max_size=6))
+    return [Edit(s, s + w, "x") for s, w in spans], raw
+
+
+@settings(max_examples=1000)
+@given(raw_and_canonical())
+def test_categorize_matches_reference(case):
+    assert _categorize_canonical(*case) == _ref_categorize_canonical(*case)
+
+
+def test_categorize_takes_first_of_a_plateau():
+    # a zero-width raw edit repeats its neighbour's end, so both lie 3 away
+    raw = [Edit(2, 5, "", ErrorCategory.SPACES), Edit(5, 5, "", ErrorCategory.CASING)]
+    canonical = [Edit(8, 9, "x")]
+    assert _categorize_canonical(canonical, raw)[0].category == ErrorCategory.SPACES
+    assert _categorize_canonical(canonical, raw) == _ref_categorize_canonical(canonical, raw)

@@ -284,3 +284,8 @@ class TestRuleErrors:
         pair = corrupt_rule_errors(TextSample("x", paragraphs[0]), rate=0.0, seed=1)
         assert pair.source == pair.target
         assert pair.edits == ()
+
+    @pytest.mark.parametrize("rate", [-0.1, 1.5])
+    def test_rate_outside_unit_interval_rejected(self, rate):
+        with pytest.raises(ValueError, match="rate must be in"):
+            corrupt_rule_errors(TextSample("x", "Labas „rytas“ ."), rate=rate, seed=1)
