@@ -24,8 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 
 @dataclass(frozen=True)
 class DeltaColumns:
@@ -47,8 +45,10 @@ def active_backend() -> str:
     return "bitparallel"
 
 
-def dl_matrix(a: np.ndarray, b: np.ndarray) -> DeltaColumns:
-    """Delta columns of the DP turning code points ``a`` into ``b``."""
+def dl_matrix(a: memoryview, b: memoryview) -> DeltaColumns:
+    """Delta columns of the DP turning code points ``a`` into ``b``, each a
+    one-dimensional sequence with ``.shape`` and ``.tolist()`` (see
+    ``alignment._encode``)."""
     n = a.shape[0]
     mask = (1 << n) - 1
     peq: dict[int, int] = {}

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ._kernels import dl_matrix
 from .edits import Edit
 
@@ -37,8 +35,11 @@ class AlignmentScript:
     cost: int
 
 
-def _encode(text: str) -> np.ndarray:
-    return np.array([ord(ch) for ch in text], dtype=np.int32)
+def _encode(text: str) -> memoryview:
+    """The code points of ``text``, one unsigned 32-bit item each (byte-swapped
+    on a big-endian host, which the kernel's equality tests cannot tell); a
+    lone surrogate keeps its own code point."""
+    return memoryview(text.encode("utf-32-le", "surrogatepass")).cast("I")
 
 
 def _backtrace(a: str, b: str) -> tuple[list[tuple[str, int, int, int, int]], int]:

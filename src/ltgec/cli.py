@@ -11,13 +11,13 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import multiprocessing
 import sys
 from pathlib import Path
 from typing import Iterable
 
-from . import confusions, corpus, corrector, evaluator, m2, noiser, tokenstats
+from . import confusions, corpus, corrector, evaluator, m2, tokenstats
 from .edits import CATEGORY_BY_VALUE, ErrorCategory, ParallelPair, read_pairs, write_pairs
+from .families import ALL_GROUPS, check_rate
 from .keyboard import KeyboardModel, default_keyboard, load_keyboard_weights
 
 E_IO = "E_IO"
@@ -63,8 +63,8 @@ def _parse_groups(raw: str) -> frozenset[ErrorCategory]:
     groups = set()
     for name in names:
         category = CATEGORY_BY_VALUE.get(name)
-        if category is None or category not in noiser.ALL_GROUPS:
-            known = ", ".join(sorted(c.value for c in noiser.ALL_GROUPS))
+        if category is None or category not in ALL_GROUPS:
+            known = ", ".join(sorted(c.value for c in ALL_GROUPS))
             raise CliError(E_INPUT, f"unknown error category {name!r} (known: {known})")
         groups.add(category)
     return frozenset(groups)
@@ -79,6 +79,8 @@ def _map_jobs(fn, items: list, jobs: int) -> Iterable:
         return map(fn, items)
 
     def run():
+        import multiprocessing
+
         with multiprocessing.Pool(jobs) as pool:
             yield from pool.imap(fn, items, chunksize=16)
 
@@ -146,18 +148,27 @@ def _load_keyboard(path: str | None) -> KeyboardModel:
     return KeyboardModel(weights=load_keyboard_weights(path))
 
 
+# The noiser, and numpy with it, loads only for corrupt: _cmd_corrupt imports
+# it before a pool forks, so workers inherit it.
+
 def _corrupt_one(sample, cfg, table, kbd):
+    from . import noiser
+
     return noiser.corrupt(sample, cfg, table, kbd)
 
 
 def _corrupt_rule_one(sample, rate, seed):
+    from . import noiser
+
     return noiser.corrupt_rule_errors(sample, rate=rate, seed=seed)
 
 
 def _cmd_corrupt(args) -> int:
+    from . import noiser
+
     samples = _read_sample_file(args.input, args.format)
     if args.rule_errors:
-        noiser.check_rate("--rate", args.rate)
+        check_rate("--rate", args.rate)
         worker = functools.partial(_corrupt_rule_one, rate=args.rate, seed=args.seed)
     else:
         cfg = noiser.CorruptionConfig(
@@ -320,7 +331,7 @@ def build_parser(config_defaults: dict | None = None) -> argparse.ArgumentParser
     p.add_argument("input")
     p.add_argument("output", help=".jsonl for parallel records, .m2 for M2")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--groups", default=",".join(sorted(c.value for c in noiser.ALL_GROUPS)),
+    p.add_argument("--groups", default=",".join(sorted(c.value for c in ALL_GROUPS)),
                    help="comma-separated error categories to enable")
     p.add_argument("--typo-rate", type=float, default=0.02)
     p.add_argument("--confusion-rate", type=float, default=0.02)

@@ -238,8 +238,14 @@ def sample_to_json(sample: TextSample) -> str:
 
 
 def sample_from_json(line: str) -> TextSample:
+    """One JSONL record; a null ``source`` reads as an absent one."""
     record = json.loads(line)
-    return TextSample(str(record["id"]), record["text"], record.get("source"))
+    text, source = record["text"], record.get("source")
+    if not isinstance(text, str):
+        raise TypeError(f"text must be a string, got {type(text).__name__}")
+    if not isinstance(source, (str, type(None))):
+        raise TypeError(f"source must be a string, got {type(source).__name__}")
+    return TextSample(str(record["id"]), text, source)
 
 
 def read_samples(fp: TextIO) -> Iterator[TextSample]:

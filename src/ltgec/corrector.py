@@ -3,7 +3,8 @@ unigram speller.
 
 A candidate correction is scored by the probability that corrupting it
 yields the observed word, using the noiser's per-family error rates, keyboard
-adjacency, confusion weights and site functions. The channel does not mirror
+adjacency and confusion weights, and the typo mix, rate checks and site
+functions that families.py defines for both. The channel does not mirror
 the corruption process fully: it has no gemination, assimilation or space
 routes, and it counts a casing site at every word start, where the noiser
 skips sentence starts.
@@ -19,7 +20,7 @@ from typing import Iterable, TextIO
 from .confusions import ConfusionTable, default_table
 from .corpus import TextSample, preprocess
 from .keyboard import KeyboardModel, default_keyboard
-from .noiser import (
+from .families import (
     DEFAULT_TYPO_MIX,
     DELETION,
     INSERTION,

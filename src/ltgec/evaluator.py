@@ -15,7 +15,7 @@ from typing import Iterable
 from .alignment import extract_edits
 from .confusions import ConfusionGroup, ConfusionTable, default_table
 from .edits import Edit, ErrorCategory, ParallelPair
-from .noiser import VOICING_SWAP, assimilation_sites, gemination_sites
+from .families import VOICING_SWAP, assimilation_sites, gemination_sites
 
 
 def f_beta(precision: float, recall: float, beta: float = 0.5) -> float:

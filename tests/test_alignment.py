@@ -84,6 +84,12 @@ class TestDistance:
         assert align(a, b).cost >= abs(len(a) - len(b))
 
 
+def codes(text: str) -> np.ndarray:
+    """Reference encoding, one int per code point, kept apart from the
+    ``_encode`` under test."""
+    return np.array([ord(ch) for ch in text], dtype=np.int64)
+
+
 def _dl_matrix_loops(a, b):
     """Reference full-matrix DP: the kernel the bit-parallel one replaced."""
     n = a.shape[0]
@@ -112,9 +118,7 @@ def _dl_matrix_loops(a, b):
 
 def reference_align(a: str, b: str) -> AlignmentScript:
     """Reference backtrace: integer lookups in the full reference matrix."""
-    ca = _encode(a)
-    cb = _encode(b)
-    d = _dl_matrix_loops(ca, cb)
+    d = _dl_matrix_loops(codes(a), codes(b))
     ops: list[AlignOp] = []
     i, j = len(a), len(b)
     while i > 0 or j > 0:
@@ -219,7 +223,7 @@ class TestReference:
     @given(near_pairs())
     def test_matrix_equals_loops(self, pair):
         a, b = pair
-        assert np.array_equal(rebuild_matrix(a, b), _dl_matrix_loops(_encode(a), _encode(b)))
+        assert np.array_equal(rebuild_matrix(a, b), _dl_matrix_loops(codes(a), codes(b)))
 
     @given(near_pairs())
     def test_align_equals_reference(self, pair):
@@ -231,9 +235,17 @@ class TestReference:
         a, b = pair
         assert extract_edits(a, b) == merge_runs(reference_align(a, b).ops)
 
-    @pytest.mark.parametrize("a,b", [("", ""), ("", "ab"), ("abc", ""), ("ab", "ba")])
+    @pytest.mark.parametrize("a,b", [
+        ("", ""), ("", "ab"), ("abc", ""), ("ab", "ba"),
+        # a lone surrogate, an astral character, and that character's
+        # surrogate pair, which is two other code points
+        ("\ud800a", "a\ud800"), ("😀b", "b😀"), ("😀", "\ud83d\ude00"),
+        ("a\ud800😀", "😀\udfffa"),
+    ])
     def test_empty_and_tiny(self, a, b):
-        assert np.array_equal(rebuild_matrix(a, b), _dl_matrix_loops(_encode(a), _encode(b)))
+        assert _encode(a).tolist() == codes(a).tolist()
+        assert align(a, b).cost == oracle_distance(a, b)
+        assert np.array_equal(rebuild_matrix(a, b), _dl_matrix_loops(codes(a), codes(b)))
         assert align(a, b) == reference_align(a, b)
         assert extract_edits(a, b) == merge_runs(reference_align(a, b).ops)
 

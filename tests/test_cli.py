@@ -244,6 +244,39 @@ class TestJobs:
                      "--seed", "1", "--jobs", "1"]) == 0
 
 
+class TestMalformedSamples:
+    COMMANDS = {
+        "preprocess": ["OUT"],
+        "corrupt": ["OUT", "--seed", "1"],
+        "correct": ["OUT"],
+        "stats": [],
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @pytest.mark.parametrize("record", [
+        {"id": "b", "text": 5},
+        {"id": "b", "text": None},
+        {"id": "b", "text": ["Labas rytas."]},
+        {"id": "b", "text": "Labas rytas.", "source": 5},
+        {"id": "b", "text": "Labas rytas.", "source": {"name": "x"}},
+    ])
+    def test_bad_field_type_is_one_input_error(self, command, record, tmp_path, capsys):
+        inp = tmp_path / "in.jsonl"
+        good = {"id": "a", "text": "Geras sakinys apie orą.", "source": "s"}
+        inp.write_text(f"{json.dumps(good)}\n{json.dumps(record)}\n", encoding="utf-8")
+        out = str(tmp_path / "o.jsonl")
+        argv = [command, str(inp), *(out if a == "OUT" else a for a in self.COMMANDS[command])]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error E_INPUT: bad sample record on line 2: ")
+        assert err.count("\n") == 1
+
+    def test_null_source_reads_as_absent(self, tmp_path):
+        inp = tmp_path / "in.jsonl"
+        inp.write_text('{"id": "a", "text": "Labas.", "source": null}\n', encoding="utf-8")
+        assert load_samples(inp) == [TextSample("a", "Labas.")]
+
+
 class TestStats:
     def test_reports_all_tokenizers(self, corpus_file, capsys):
         assert main(["stats", str(corpus_file)]) == 0

@@ -1,0 +1,82 @@
+"""numpy loads only with the noiser, which alone draws RNG streams.
+
+Each check runs in a fresh interpreter, because this suite's conftest
+imports numpy itself.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import ltgec
+
+SRC = str(Path(ltgec.__file__).resolve().parent.parent)
+
+PIPELINE_WITHOUT_CORRUPT = r"""
+import json, sys
+from pathlib import Path
+
+import ltgec
+import ltgec.cli
+from ltgec.alignment import extract_edits
+from ltgec.cli import main
+from ltgec.edits import ParallelPair, write_pairs
+
+d = Path(sys.argv[1])
+texts = ["Vakar bare grojo gera muzika.", "Šiandien lyja, todėl liekame namie."]
+with open(d / "raw.jsonl", "w", encoding="utf-8") as fp:
+    for k, text in enumerate(texts):
+        fp.write(json.dumps({"id": str(k), "text": text}, ensure_ascii=False) + "\n")
+sources = ["Vakar bare grojo gera muzka.", "Šiandien lyja todėl liekame namie."]
+pairs = [ParallelPair(str(k), s, t, tuple(extract_edits(s, t)))
+         for k, (s, t) in enumerate(zip(sources, texts))]
+with open(d / "gold.jsonl", "w", encoding="utf-8") as fp:
+    write_pairs(pairs, fp)
+(d / "hyp.txt").write_text("".join(t + "\n" for t in texts), encoding="utf-8")
+
+runs = [
+    ["preprocess", d / "raw.jsonl", d / "clean.jsonl"],
+    ["correct", d / "clean.jsonl", d / "rules.jsonl"],
+    ["correct", d / "clean.jsonl", d / "noisy.jsonl", "--lm-corpus", d / "raw.jsonl"],
+    ["evaluate", d / "gold.jsonl", d / "hyp.txt"],
+    ["stats", d / "clean.jsonl"],
+]
+codes = [main([str(a) for a in argv]) for argv in runs]
+print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules,
+                  "multiprocessing": "multiprocessing" in sys.modules}))
+"""
+
+PACKAGE_NAMES = r"""
+import json, sys
+import ltgec
+
+before = "numpy" in sys.modules
+from ltgec import corrupt
+after = "numpy" in sys.modules
+print(json.dumps({
+    "before": before, "after": after,
+    "unresolved": [n for n in ltgec.__all__ if getattr(ltgec, n, None) is None],
+    "undir": sorted(set(ltgec.__all__) - set(dir(ltgec))),
+}))
+"""
+
+
+def run_fresh(code: str, *args) -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_pipeline_without_corrupt_leaves_numpy_unloaded(tmp_path):
+    seen = run_fresh(PIPELINE_WITHOUT_CORRUPT, tmp_path)
+    assert seen == {"codes": [0] * 5, "numpy": False, "multiprocessing": False}
+
+
+def test_package_names_resolve_and_corrupt_loads_numpy():
+    seen = run_fresh(PACKAGE_NAMES)
+    assert seen == {"before": False, "after": True, "unresolved": [], "undir": []}
