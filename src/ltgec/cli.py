@@ -49,6 +49,23 @@ def _read_sample_file(path: str, fmt: str) -> list[corpus.TextSample]:
         return list(corpus.read_text_paragraphs(fp, source=Path(path).name))
 
 
+def _read_keyed_samples(path: str, fmt: str) -> list[corpus.TextSample]:
+    """The samples of an input keyed by id, where an id may appear once.
+    Plain-text paragraphs are numbered, so never repeat one."""
+    if _detect_format(path, fmt) != "jsonl":
+        return _read_sample_file(path, fmt)
+    samples: list[corpus.TextSample] = []
+    lines: dict[str, int] = {}
+    with open(path, encoding="utf-8") as fp:
+        for lineno, sample in corpus.read_numbered_samples(fp):
+            if sample.id in lines:
+                raise CliError(E_INPUT, f"{path}:{lineno}: sample id {sample.id!r} "
+                                        f"repeats line {lines[sample.id]}")
+            lines[sample.id] = lineno
+            samples.append(sample)
+    return samples
+
+
 def _read_pair_file(path: str) -> list[ParallelPair]:
     with open(path, encoding="utf-8") as fp:
         if path.endswith(".m2"):
@@ -71,9 +88,7 @@ def _parse_groups(raw: str) -> frozenset[ErrorCategory]:
 
 
 def _map_jobs(fn, items: list, jobs: int) -> Iterable:
-    # checked here rather than by argparse, which leaves the int and float
-    # defaults a --config file supplies unconverted
-    if type(jobs) is not int or jobs < 1:
+    if jobs < 1:
         raise CliError(E_INPUT, f"--jobs must be a positive integer, got {jobs!r}")
     if jobs == 1:
         return map(fn, items)
@@ -91,7 +106,7 @@ def _map_jobs(fn, items: list, jobs: int) -> Iterable:
 # Subcommand implementations
 
 def _cmd_preprocess(args) -> int:
-    samples = _read_sample_file(args.input, args.format)
+    samples = _read_keyed_samples(args.input, args.format)
     cfg = corpus.FilterConfig(
         min_chars=args.min_chars,
         min_letter_fraction=args.min_letter_fraction,
@@ -113,14 +128,23 @@ def _cmd_preprocess(args) -> int:
     counts[corpus.DUPLICATE] = len(kept) - len(deduped)
     counts[corpus.KEPT] = len(deduped)
 
+    def too_long(sample: corpus.TextSample) -> bool:
+        return bool(args.max_chars) and len(sample.text) > args.max_chars
+
+    unsplit_ids = {sample.id for sample in deduped if not too_long(sample)}
     out: list[corpus.TextSample] = []
     split_extra = 0
     for sample in deduped:
-        if args.max_chars and len(sample.text) > args.max_chars:
+        if too_long(sample):
             pieces = corpus.split_long(sample.text, args.max_chars)
             split_extra += len(pieces) - 1
             for k, piece in enumerate(pieces):
-                out.append(corpus.TextSample(f"{sample.id}.{k}", piece, sample.source))
+                piece_id = f"{sample.id}.{k}"
+                if piece_id in unsplit_ids:
+                    raise CliError(E_INPUT, f"{args.input}: piece {k} of the split sample "
+                                            f"{sample.id!r} would take the id {piece_id!r} "
+                                            f"of another sample")
+                out.append(corpus.TextSample(piece_id, piece, sample.source))
         else:
             out.append(sample)
 
@@ -166,7 +190,7 @@ def _corrupt_rule_one(sample, rate, seed):
 def _cmd_corrupt(args) -> int:
     from . import noiser
 
-    samples = _read_sample_file(args.input, args.format)
+    samples = _read_keyed_samples(args.input, args.format)
     if args.rule_errors:
         check_rate("--rate", args.rate)
         worker = functools.partial(_corrupt_rule_one, rate=args.rate, seed=args.seed)
@@ -196,10 +220,8 @@ def _cmd_corrupt(args) -> int:
 def _cmd_evaluate(args) -> int:
     gold = _read_pair_file(args.gold)
     if args.hypothesis.endswith(".jsonl"):
-        hyp_samples = _read_sample_file(args.hypothesis, "jsonl")
+        hyp_samples = _read_keyed_samples(args.hypothesis, "jsonl")
         by_id = {s.id: s.text for s in hyp_samples}
-        if len(by_id) != len(hyp_samples):
-            raise CliError(E_INPUT, "hypothesis file repeats sample ids")
         missing = [p.id for p in gold if p.id not in by_id]
         if missing:
             raise CliError(
@@ -250,7 +272,7 @@ def _correct_noisy_one(sample, model, table, kbd):
 
 
 def _cmd_correct(args) -> int:
-    samples = _read_sample_file(args.input, args.format)
+    samples = _read_keyed_samples(args.input, args.format)
     model = None
     if args.model and args.lm_corpus:
         raise CliError(E_CONFIG, "--model and --lm-corpus are mutually exclusive")
@@ -304,7 +326,7 @@ def _add_common(parser, jobs=True):
                             help="worker processes (default 1)")
 
 
-def build_parser(config_defaults: dict | None = None) -> argparse.ArgumentParser:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ltgec",
         description="Corpus tooling for Lithuanian grammatical error correction",
@@ -380,33 +402,59 @@ def build_parser(config_defaults: dict | None = None) -> argparse.ArgumentParser
     _add_common(p, jobs=False)
     p.set_defaults(func=_cmd_derive_stats)
 
-    if config_defaults:
-        for action_parser in sub.choices.values():
-            known = {a.dest for a in action_parser._actions}
-            action_parser.set_defaults(
-                **{k: v for k, v in config_defaults.items() if k in known}
-            )
     return parser
 
 
-def _coerce(value: str):
-    low = value.lower()
-    if low in ("true", "yes", "on"):
-        return True
-    if low in ("false", "no", "off"):
+def _subparsers(parser: argparse.ArgumentParser) -> list[argparse.ArgumentParser]:
+    return [sp for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction)
+            for sp in action.choices.values()]
+
+
+def _config_actions(parser: argparse.ArgumentParser) -> dict[str, argparse.Action]:
+    """The keys a --config file may set, each with an action that declares it.
+    Every subcommand that declares a key reads it alike, so any one will do."""
+    return {
+        a.dest: a
+        for sp in _subparsers(parser) for a in sp._actions
+        if a.dest not in ("help", "config") and not a.required and a.option_strings
+    }
+
+
+_FLAG_WORDS = {"true": True, "yes": True, "on": True, "1": True,
+               "false": False, "no": False, "off": False, "0": False}
+
+
+def _config_value(action: argparse.Action, value: str):
+    """``value`` as the flag of ``action`` reads it. A ValueError says what
+    the flag needs."""
+    if action.nargs == 0:  # an on/off flag such as --rule-errors
+        if value.lower() not in _FLAG_WORDS:
+            raise ValueError("true or false")
+        return _FLAG_WORDS[value.lower()]
+    kind = action.type or str
+    try:
+        read = kind(value)
+    except ValueError:
+        raise ValueError("a whole number" if kind is int and _is_float(value)
+                         else "a number") from None
+    if action.choices is not None and read not in action.choices:
+        raise ValueError("one of " + ", ".join(action.choices))
+    return read
+
+
+def _is_float(value: str) -> bool:
+    try:
+        float(value)
+    except ValueError:
         return False
-    for caster in (int, float):
-        try:
-            return caster(value)
-        except ValueError:
-            pass
-    return value
+    return True
 
 
-def load_config(path: str, known_keys: dict[str, type | None]) -> dict:
-    """Defaults from a ``key = value`` file; ``known_keys`` maps each key to
-    its option's type. A value that reads as no number for an int or float
-    option is an input error here, as argparse would print its usage for it."""
+def load_config(path: str, actions: dict[str, argparse.Action]) -> dict:
+    """Defaults from a ``key = value`` file; ``actions`` maps each known key
+    to an option that declares it, and each value is read as that option
+    reads its argument."""
     values: dict = {}
     try:
         with open(path, encoding="utf-8") as fp:
@@ -417,38 +465,29 @@ def load_config(path: str, known_keys: dict[str, type | None]) -> dict:
                 if "=" not in line:
                     raise CliError(E_CONFIG, f"{path}:{lineno}: expected 'key = value'")
                 key, _, value = line.partition("=")
-                key = key.strip().replace("-", "_")
-                if key not in known_keys:
+                key, value = key.strip().replace("-", "_"), value.strip()
+                if key not in actions:
                     raise CliError(E_CONFIG, f"{path}:{lineno}: unknown key {key!r}")
-                values[key] = _coerce(value.strip())
-                if isinstance(values[key], str) and known_keys[key] in (int, float):
-                    raise CliError(E_INPUT, f"{path}:{lineno}: {key} needs a number, "
-                                            f"got {values[key]!r}")
+                try:
+                    values[key] = _config_value(actions[key], value)
+                except ValueError as exc:
+                    raise CliError(E_INPUT, f"{path}:{lineno}: {key} needs {exc}, "
+                                            f"got {value!r}") from None
     except OSError as exc:
         raise CliError(E_IO, f"cannot read config {path}: {exc}") from exc
     return values
 
 
-def _known_config_keys(parser: argparse.ArgumentParser) -> dict[str, type | None]:
-    keys: dict[str, type | None] = {}
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            for sp in action.choices.values():
-                keys.update(
-                    (a.dest, a.type) for a in sp._actions
-                    if a.dest not in ("help", "config", "func")
-                    and not a.required and a.option_strings
-                )
-    return keys
-
-
 def _parse_args(argv) -> argparse.Namespace:
-    first = build_parser().parse_args(argv)
-    config_path = getattr(first, "config", None)
-    if not config_path:
-        return first
-    defaults = load_config(config_path, _known_config_keys(build_parser()))
-    return build_parser(defaults).parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if not getattr(args, "config", None):
+        return args
+    defaults = load_config(args.config, _config_actions(parser))
+    for sp in _subparsers(parser):
+        known = {a.dest for a in sp._actions}
+        sp.set_defaults(**{k: v for k, v in defaults.items() if k in known})
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:

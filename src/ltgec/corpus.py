@@ -237,6 +237,16 @@ def sample_to_json(sample: TextSample) -> str:
     return json.dumps(record, ensure_ascii=False)
 
 
+def record_id(record: dict) -> str:
+    """A JSONL record's id: a string, or an integer read in decimal."""
+    rid = record["id"]
+    if isinstance(rid, str):
+        return rid
+    if isinstance(rid, int) and not isinstance(rid, bool):
+        return str(rid)
+    raise TypeError(f"id must be a string or an integer, got {type(rid).__name__}")
+
+
 def sample_from_json(line: str) -> TextSample:
     """One JSONL record; a null ``source`` reads as an absent one."""
     record = json.loads(line)
@@ -245,18 +255,23 @@ def sample_from_json(line: str) -> TextSample:
         raise TypeError(f"text must be a string, got {type(text).__name__}")
     if not isinstance(source, (str, type(None))):
         raise TypeError(f"source must be a string, got {type(source).__name__}")
-    return TextSample(str(record["id"]), text, source)
+    return TextSample(record_id(record), text, source)
 
 
-def read_samples(fp: TextIO) -> Iterator[TextSample]:
+def read_numbered_samples(fp: TextIO) -> Iterator[tuple[int, TextSample]]:
+    """JSONL samples, each with the number of the line it was read from."""
     for lineno, line in enumerate(fp, 1):
         line = line.strip()
         if not line:
             continue
         try:
-            yield sample_from_json(line)
+            yield lineno, sample_from_json(line)
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise ValueError(f"bad sample record on line {lineno}: {exc}") from exc
+
+
+def read_samples(fp: TextIO) -> Iterator[TextSample]:
+    return (sample for _, sample in read_numbered_samples(fp))
 
 
 def write_samples(samples: Iterable[TextSample], fp: TextIO) -> int:

@@ -2,15 +2,20 @@
 
 An Edit says: the corrupted text's half-open span [start, end) should read
 ``replacement`` in the corrected text. Applying a pair's edits right to left
-therefore reconstructs the reference exactly.
+therefore reconstructs the reference exactly. A corruption plan is an Edit
+in the other direction: a span of the clean text and the corruption that
+replaces it.
 """
 
 from __future__ import annotations
 
+import bisect
 import json
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Sequence, TextIO
+
+from .corpus import record_id
 
 
 class ErrorCategory(Enum):
@@ -71,17 +76,10 @@ def apply_edits(text: str, edits: Sequence[Edit]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Corruption plans. A plan replaces span [start, end) of the current text with
-# ``corrupt`` and remembers which error family produced it. apply_plans turns
-# kept plans into text plus inverse edits, shifting earlier edits as needed.
-
-@dataclass(frozen=True)
-class Plan:
-    start: int
-    end: int
-    corrupt: str
-    category: ErrorCategory
-
+# Corruption plans. A plan is an Edit on the clean text: it replaces span
+# [start, end) with ``replacement`` and carries the error family's category.
+# apply_plans applies the plans that conflict with nothing, turning them into
+# inverse edits on the corrupted text and shifting earlier edits as needed.
 
 def _intersects(s1: int, e1: int, s2: int, e2: int) -> bool:
     # Half-open spans; zero-width points touching a boundary do not intersect.
@@ -92,51 +90,32 @@ def _intersects(s1: int, e1: int, s2: int, e2: int) -> bool:
     return s1 < e2 and s2 < e1
 
 
-def drop_conflicting(plans: Sequence[Plan], blocked: Sequence[Edit]) -> list[Plan]:
-    """Keep plans in planning order, dropping any that intersect ``blocked``
-    spans or an earlier kept plan."""
-    blocked_spans = sorted((e.start, e.end) for e in blocked)
-    kept: list[Plan] = []
-    kept_spans: list[tuple[int, int]] = []
+def drop_conflicting(plans: Sequence[Edit], blocked: Sequence[Edit]) -> list[Edit]:
+    """Keep plans in planning order, dropping any that intersect a
+    ``blocked`` span or an earlier kept plan.
 
-    import bisect
-
-    def hits_blocked(s: int, e: int) -> bool:
-        # Only neighbours around the insertion point can intersect.
-        i = bisect.bisect_left(blocked_spans, (s, e))
-        for j in (i - 1, i, i + 1):
-            if 0 <= j < len(blocked_spans):
-                bs, be = blocked_spans[j]
-                if _intersects(s, e, bs, be):
-                    return True
-        return False
-
+    ``blocked`` must be pairwise non-intersecting, as apply_plans' edits are.
+    Kept plans join the blocked spans in one sorted list, so the list stays
+    pairwise non-intersecting, and a span that intersects any member then
+    intersects one of the two neighbours of its insertion point.
+    """
+    spans = sorted((e.start, e.end) for e in blocked)
+    kept: list[Edit] = []
     for p in plans:
-        if hits_blocked(p.start, p.end):
+        span = (p.start, p.end)
+        i = bisect.bisect_left(spans, span)
+        if any(_intersects(p.start, p.end, s, e) for s, e in spans[max(i - 1, 0):i + 1]):
             continue
-        i = bisect.bisect_left(kept_spans, (p.start, p.end))
-        clash = False
-        for j in (i - 1, i, i + 1):
-            if 0 <= j < len(kept_spans):
-                ks, ke = kept_spans[j]
-                if _intersects(p.start, p.end, ks, ke):
-                    clash = True
-                    break
-        if clash:
-            continue
-        bisect.insort(kept_spans, (p.start, p.end))
+        spans.insert(i, span)
         kept.append(p)
     return kept
 
 
-def apply_plans(text: str, edits: Sequence[Edit], plans: Sequence[Plan]) -> tuple[str, list[Edit]]:
-    """Apply non-conflicting plans to ``text``; return new text and the full
-    edit list (old edits shifted + inverse edits of the plans), sorted.
-
-    Callers must have filtered ``plans`` through drop_conflicting against
-    ``edits`` first; spans may touch but never intersect.
-    """
-    ordered = sorted(plans, key=lambda p: (p.start, p.end))
+def apply_plans(text: str, edits: Sequence[Edit], plans: Sequence[Edit]) -> tuple[str, list[Edit]]:
+    """Apply the plans that drop_conflicting keeps against ``edits`` to
+    ``text``; return the new text and the full edit list (old edits shifted
+    + inverse edits of the plans), sorted."""
+    ordered = sorted(drop_conflicting(plans, edits), key=lambda p: (p.start, p.end))
     segments: list[str] = []
     new_edits: list[Edit] = []
     pos = 0
@@ -144,10 +123,10 @@ def apply_plans(text: str, edits: Sequence[Edit], plans: Sequence[Plan]) -> tupl
     deltas: list[tuple[int, int]] = []  # (plan end, cumulative delta after it)
     for p in ordered:
         segments.append(text[pos:p.start])
-        segments.append(p.corrupt)
+        segments.append(p.replacement)
         shifted = p.start + delta
-        new_edits.append(Edit(shifted, shifted + len(p.corrupt), text[p.start:p.end], p.category))
-        delta += len(p.corrupt) - (p.end - p.start)
+        new_edits.append(Edit(shifted, shifted + len(p.replacement), text[p.start:p.end], p.category))
+        delta += len(p.replacement) - (p.end - p.start)
         deltas.append((p.end, delta))
         pos = p.end
     segments.append(text[pos:])
@@ -188,7 +167,7 @@ def pair_from_json(line: str) -> ParallelPair:
         Edit(int(s), int(e), repl, CATEGORY_BY_VALUE[cat] if cat else None)
         for s, e, repl, cat in record["edits"]
     )
-    pair = ParallelPair(str(record["id"]), record["source"], record["target"], edits)
+    pair = ParallelPair(record_id(record), record["source"], record["target"], edits)
     check_edits_sorted_disjoint(edits, len(pair.source))
     if apply_edits(pair.source, edits) != pair.target:
         raise ValueError("edits do not turn the source into the target")

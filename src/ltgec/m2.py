@@ -11,7 +11,14 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, TextIO
 
-from .edits import CATEGORY_BY_VALUE, Edit, ErrorCategory, ParallelPair, apply_edits
+from .edits import (
+    CATEGORY_BY_VALUE,
+    Edit,
+    ErrorCategory,
+    ParallelPair,
+    apply_edits,
+    check_edits_sorted_disjoint,
+)
 
 NOOP_CATEGORY = "noop"
 NOOP_REPLACEMENT = "-NONE-"
@@ -81,6 +88,7 @@ def read_m2(fp: TextIO) -> Iterator[ParallelPair]:
                     f"exceeds source length {len(source)}"
                 )
         try:
+            check_edits_sorted_disjoint(edits, len(source))
             target = apply_edits(source, edits)
         except ValueError as exc:
             raise ValueError(f"m2 line {source_line}: {exc}") from None

@@ -27,7 +27,7 @@ import numpy as np
 from .alignment import extract_edits
 from .confusions import ConfusionGroup, ConfusionTable, default_table
 from .corpus import TextSample, _L, _U
-from .edits import Edit, ErrorCategory, ParallelPair, Plan, apply_plans, drop_conflicting
+from .edits import Edit, ErrorCategory, ParallelPair, apply_plans
 from .families import (
     ALL_GROUPS,
     DEFAULT_TYPO_MIX,
@@ -72,9 +72,8 @@ def sample_rng(seed: int, sample_id: str, family_index: int) -> np.random.Genera
 
 
 # ---------------------------------------------------------------------------
-# Family planners. Each returns corruption Plans on the given text in a fixed
-# planning order; conflict resolution (drop later-planned overlaps) happens in
-# drop_conflicting.
+# Family planners. Each returns corruption plans, forward Edits on the given
+# text, in a fixed planning order; apply_plans drops later-planned overlaps.
 
 def _strike(sites, rate: float, rng: np.random.Generator) -> list:
     """The draw rule of every family: one uniform draw per site, in site
@@ -89,7 +88,7 @@ _LINE_BREAKS = frozenset("\n\r")
 
 
 def _plan_typos(text: str, cfg: CorruptionConfig, kbd: KeyboardModel,
-                rng: np.random.Generator) -> list[Plan]:
+                rng: np.random.Generator) -> list[Edit]:
     n = len(text)
     mix = np.array([cfg.typo_mix[op] for op in TYPO_OPS], dtype=np.float64)
     mix = mix / mix.sum()
@@ -106,7 +105,7 @@ def _plan_typos(text: str, cfg: CorruptionConfig, kbd: KeyboardModel,
             sub_cache[ch] = cached
         return cached
 
-    plans: list[Plan] = []
+    plans: list[Edit] = []
     cat = ErrorCategory.TYPOGRAPHICAL
     for i in _strike(range(n), cfg.typo_rate, rng):
         if text[i] in _LINE_BREAKS:
@@ -119,15 +118,15 @@ def _plan_typos(text: str, cfg: CorruptionConfig, kbd: KeyboardModel,
             repl = chars[int(rng.choice(len(chars), p=probs))]
             if repl == text[i]:
                 continue
-            plans.append(Plan(i, i + 1, repl, cat))
+            plans.append(Edit(i, i + 1, repl, cat))
         elif op == DELETION:
-            plans.append(Plan(i, i + 1, "", cat))
+            plans.append(Edit(i, i + 1, "", cat))
         elif op == INSERTION:
             chars, probs = options_for(text[i])
             if not chars:
                 continue
             ins = chars[int(rng.choice(len(chars), p=probs))]
-            plans.append(Plan(i + 1, i + 1, ins, cat))
+            plans.append(Edit(i + 1, i + 1, ins, cat))
         else:
             j = i + 1 if i + 1 < n else i - 1
             if j < 0:
@@ -135,13 +134,13 @@ def _plan_typos(text: str, cfg: CorruptionConfig, kbd: KeyboardModel,
             lo = min(i, j)
             if text[lo] == text[lo + 1]:
                 continue
-            plans.append(Plan(lo, lo + 2, text[lo + 1] + text[lo], cat))
+            plans.append(Edit(lo, lo + 2, text[lo + 1] + text[lo], cat))
     return plans
 
 
 def _plan_confusions(text: str, groups: tuple[ConfusionGroup, ...], rate: float,
-                     rng: np.random.Generator) -> list[Plan]:
-    plans: list[Plan] = []
+                     rng: np.random.Generator) -> list[Edit]:
+    plans: list[Edit] = []
     option_cache: dict[tuple[str, str], tuple[list[str], np.ndarray]] = {}
     for g in groups:
         for m in _strike(g.sites(text), rate, rng):
@@ -155,38 +154,38 @@ def _plan_confusions(text: str, groups: tuple[ConfusionGroup, ...], rate: float,
             if not options:
                 continue
             repl = options[int(rng.choice(len(options), p=probs))]
-            plans.append(Plan(m.start(), m.end(), repl, g.category))
+            plans.append(Edit(m.start(), m.end(), repl, g.category))
     return plans
 
 
-def _plan_gemination(text: str, rate: float, rng: np.random.Generator) -> list[Plan]:
+def _plan_gemination(text: str, rate: float, rng: np.random.Generator) -> list[Edit]:
     cat = ErrorCategory.ASSIMILATION_GEMINATION
-    return [Plan(i, i + 1, "", cat) for i in _strike(gemination_sites(text), rate, rng)]
+    return [Edit(i, i + 1, "", cat) for i in _strike(gemination_sites(text), rate, rng)]
 
 
-def _plan_assimilation(text: str, rate: float, rng: np.random.Generator) -> list[Plan]:
-    plans: list[Plan] = []
+def _plan_assimilation(text: str, rate: float, rng: np.random.Generator) -> list[Edit]:
+    plans: list[Edit] = []
     cat = ErrorCategory.ASSIMILATION_GEMINATION
     for i in _strike(assimilation_sites(text), rate, rng):
         ch = text[i]
         swapped = VOICING_SWAP[ch.lower()]
         if ch.isupper():
             swapped = swapped.upper()
-        plans.append(Plan(i, i + 1, swapped, cat))
+        plans.append(Edit(i, i + 1, swapped, cat))
     return plans
 
 
-def _plan_casing(text: str, rate: float, rng: np.random.Generator) -> list[Plan]:
+def _plan_casing(text: str, rate: float, rng: np.random.Generator) -> list[Edit]:
     cat = ErrorCategory.CASING
-    return [Plan(i, i + 1, text[i].swapcase(), cat)
+    return [Edit(i, i + 1, text[i].swapcase(), cat)
             for i in _strike(casing_sites(text), rate, rng)]
 
 
-def _plan_spaces(text: str, rate: float, rng: np.random.Generator) -> list[Plan]:
+def _plan_spaces(text: str, rate: float, rng: np.random.Generator) -> list[Edit]:
     dels, ins = space_sites(text)
     cat = ErrorCategory.SPACES
-    plans = [Plan(i, i + 1, "", cat) for i in _strike(dels, rate, rng)]
-    plans.extend(Plan(i, i, " ", cat) for i in _strike(ins, rate, rng))
+    plans = [Edit(i, i + 1, "", cat) for i in _strike(dels, rate, rng)]
+    plans.extend(Edit(i, i, " ", cat) for i in _strike(ins, rate, rng))
     return plans
 
 
@@ -210,11 +209,11 @@ def _quote_style_options() -> tuple[list[str], np.ndarray]:
     return options, probs / probs.sum()
 
 
-def _plan_rule_errors(text: str, rate: float, rng: np.random.Generator) -> list[Plan]:
+def _plan_rule_errors(text: str, rate: float, rng: np.random.Generator) -> list[Edit]:
     quotes = [i for i, ch in enumerate(text) if ch in _QUOTE_GLYPHS]
     options, probs = _quote_style_options()
     plans = [
-        Plan(i, i + 1, options[int(rng.choice(len(options), p=probs))], ErrorCategory.PUNCTUATION)
+        Edit(i, i + 1, options[int(rng.choice(len(options), p=probs))], ErrorCategory.PUNCTUATION)
         for i in _strike(quotes, rate, rng)
     ]
 
@@ -223,13 +222,13 @@ def _plan_rule_errors(text: str, rate: float, rng: np.random.Generator) -> list[
         for m in regex.finditer(text):
             seen.add(m.end() - 1)
     spaces = sorted(seen)
-    plans.extend(Plan(i, i + 1, "", ErrorCategory.SPACES) for i in _strike(spaces, rate, rng))
+    plans.extend(Edit(i, i + 1, "", ErrorCategory.SPACES) for i in _strike(spaces, rate, rng))
 
     punct = [
         i for i, ch in enumerate(text)
         if ch in _PUNCT_AFTER and i > 0 and not text[i - 1].isspace()
     ]
-    plans.extend(Plan(i, i, " ", ErrorCategory.SPACES) for i in _strike(punct, rate, rng))
+    plans.extend(Edit(i, i, " ", ErrorCategory.SPACES) for i in _strike(punct, rate, rng))
     return plans
 
 
@@ -237,36 +236,30 @@ def _plan_rule_errors(text: str, rate: float, rng: np.random.Generator) -> list[
 # Public single-family ops: corrupt text with one family, returning the new
 # text and the exact inverse edits.
 
-def _run_family(text: str, plans: list[Plan], raw=()) -> tuple[str, list[Edit]]:
-    """Apply the plans that clash with neither ``raw``, the inverse edits of
-    earlier families, nor an earlier plan."""
-    return apply_plans(text, raw, drop_conflicting(plans, raw))
-
-
 def corrupt_typos(text: str, cfg: CorruptionConfig, kbd: KeyboardModel,
                   rng: np.random.Generator) -> tuple[str, list[Edit]]:
-    return _run_family(text, _plan_typos(text, cfg, kbd, rng))
+    return apply_plans(text, (), _plan_typos(text, cfg, kbd, rng))
 
 
 def corrupt_confusions(text: str, table: ConfusionTable, rate: float,
                        rng: np.random.Generator) -> tuple[str, list[Edit]]:
-    return _run_family(text, _plan_confusions(text, table.groups, rate, rng))
+    return apply_plans(text, (), _plan_confusions(text, table.groups, rate, rng))
 
 
 def corrupt_gemination(text: str, rate: float, rng: np.random.Generator) -> tuple[str, list[Edit]]:
-    return _run_family(text, _plan_gemination(text, rate, rng))
+    return apply_plans(text, (), _plan_gemination(text, rate, rng))
 
 
 def corrupt_assimilation(text: str, rate: float, rng: np.random.Generator) -> tuple[str, list[Edit]]:
-    return _run_family(text, _plan_assimilation(text, rate, rng))
+    return apply_plans(text, (), _plan_assimilation(text, rate, rng))
 
 
 def corrupt_casing(text: str, rate: float, rng: np.random.Generator) -> tuple[str, list[Edit]]:
-    return _run_family(text, _plan_casing(text, rate, rng))
+    return apply_plans(text, (), _plan_casing(text, rate, rng))
 
 
 def corrupt_spaces(text: str, rate: float, rng: np.random.Generator) -> tuple[str, list[Edit]]:
-    return _run_family(text, _plan_spaces(text, rate, rng))
+    return apply_plans(text, (), _plan_spaces(text, rate, rng))
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +330,7 @@ def corrupt(sample: TextSample, cfg: CorruptionConfig,
         if not on:
             continue
         rng = sample_rng(cfg.seed, sample.id, index)
-        text, raw = _run_family(text, planner(text, rng), raw)
+        text, raw = apply_plans(text, raw, planner(text, rng))
     return _gold_pair(sample, text, raw)
 
 
@@ -350,5 +343,5 @@ def corrupt_rule_errors(sample: TextSample, rate: float = 0.02,
     undo; every emitted error is rule-invertible."""
     check_rate("rate", rate)
     rng = sample_rng(seed, sample.id, _RULE_ERROR_STREAM)
-    text, raw = _run_family(sample.text, _plan_rule_errors(sample.text, rate, rng))
+    text, raw = apply_plans(sample.text, (), _plan_rule_errors(sample.text, rate, rng))
     return _gold_pair(sample, text, raw)

@@ -1,8 +1,10 @@
 import json
 import multiprocessing
+import os
 
 import pytest
 
+from ltgec import cli
 from ltgec.cli import main
 from ltgec.confusions import read_table
 from ltgec.corpus import TextSample, read_samples, write_samples
@@ -61,6 +63,17 @@ class TestPreprocess:
         assert len(pieces) > 1
         assert pieces[0].id == "long.0"
         assert all(len(p.text) <= 200 for p in pieces)
+
+    def test_split_piece_id_taken_is_input_error(self, tmp_path, capsys):
+        inp = tmp_path / "in.jsonl"
+        long = ("Ilgas sakinys apie nepriklausomybę ir atsakomybę. " * 4).strip()
+        write_corpus(inp, [TextSample("x", long),
+                           TextSample("x.0", "Vakar mieste gatvės buvo sausos.")])
+        assert main(["preprocess", str(inp), str(tmp_path / "o.jsonl"),
+                     "--max-chars", "100"]) == 1
+        assert capsys.readouterr().err == (
+            f"error E_INPUT: {inp}: piece 0 of the split sample 'x' would take the id "
+            f"'x.0' of another sample\n")
 
     def test_reads_plain_text_paragraphs(self, tmp_path, paragraphs):
         inp = tmp_path / "in.txt"
@@ -198,6 +211,15 @@ class TestEvaluate:
         assert err.startswith("error E_INPUT: bad pair record on line 2:")
         assert "do not turn the source into the target" in err
 
+    def test_unsorted_m2_gold_is_input_error(self, tmp_path, capsys):
+        gold = tmp_path / "gold.m2"
+        gold.write_text("S abcd\nA 2 3|||other|||X|||0\nA 0 1|||other|||Y|||0\n",
+                        encoding="utf-8")
+        hyp = tmp_path / "hyp.txt"
+        hyp.write_text("YbXd\n", encoding="utf-8")
+        assert main(["evaluate", str(gold), str(hyp)]) == 1
+        assert capsys.readouterr().err == "error E_INPUT: m2 line 1: edits not sorted\n"
+
     def test_line_count_mismatch_is_input_error(self, gold_file, tmp_path, capsys):
         hyp = tmp_path / "hyp.txt"
         hyp.write_text("viena eilutė\n", encoding="utf-8")
@@ -221,14 +243,22 @@ class TestJobs:
         assert code == 1
         assert "error E_INPUT: --jobs must be a positive integer" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("value", ["0", "1.5"])
+    # 0 is a number, refused where the jobs are mapped; 1.5 is refused as
+    # the config is read, as --jobs 1.5 is refused on the command line
+    CONFIG_ERRORS = {
+        "0": "--jobs must be a positive integer, got 0",
+        "1.5": "{cfg}:1: jobs needs a whole number, got '1.5'",
+    }
+
+    @pytest.mark.parametrize("value", sorted(CONFIG_ERRORS))
     def test_bad_config_value_rejected(self, value, corpus_file, tmp_path, capsys):
         cfg = tmp_path / "ltgec.cfg"
         cfg.write_text(f"jobs = {value}\n", encoding="utf-8")
         code = main(["corrupt", str(corpus_file), str(tmp_path / "o.jsonl"),
                      "--seed", "1", "--config", str(cfg)])
         assert code == 1
-        assert "error E_INPUT: --jobs must be a positive integer" in capsys.readouterr().err
+        message = self.CONFIG_ERRORS[value].format(cfg=cfg)
+        assert capsys.readouterr().err == f"error E_INPUT: {message}\n"
 
     def test_non_number_in_config_is_input_error(self, corpus_file, tmp_path, capsys):
         cfg = tmp_path / "ltgec.cfg"
@@ -259,6 +289,10 @@ class TestMalformedSamples:
         {"id": "b", "text": ["Labas rytas."]},
         {"id": "b", "text": "Labas rytas.", "source": 5},
         {"id": "b", "text": "Labas rytas.", "source": {"name": "x"}},
+        {"id": None, "text": "Labas rytas."},
+        {"id": {"k": 1}, "text": "Labas rytas."},
+        {"id": True, "text": "Labas rytas."},
+        {"id": 1.5, "text": "Labas rytas."},
     ])
     def test_bad_field_type_is_one_input_error(self, command, record, tmp_path, capsys):
         inp = tmp_path / "in.jsonl"
@@ -275,6 +309,44 @@ class TestMalformedSamples:
         inp = tmp_path / "in.jsonl"
         inp.write_text('{"id": "a", "text": "Labas.", "source": null}\n', encoding="utf-8")
         assert load_samples(inp) == [TextSample("a", "Labas.")]
+
+
+class TestSampleIds:
+    GOOD = {"id": "a", "text": "Geras sakinys apie orą.", "source": "s"}
+
+    def write(self, path, *records):
+        path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        return path
+
+    @pytest.mark.parametrize("command", ["preprocess", "corrupt", "correct"])
+    def test_repeated_id_is_one_input_error(self, command, tmp_path, capsys):
+        # an integer id reads in decimal, so 1 and "1" are one id
+        inp = self.write(tmp_path / "in.jsonl", {**self.GOOD, "id": 1},
+                         {**self.GOOD, "id": "b"},
+                         {**self.GOOD, "id": "1", "text": "Kitas sakinys apie orą."})
+        extra = TestMalformedSamples.COMMANDS[command][1:]
+        assert main([command, str(inp), str(tmp_path / "o.jsonl"), *extra]) == 1
+        assert capsys.readouterr().err == (
+            f"error E_INPUT: {inp}:3: sample id '1' repeats line 1\n")
+
+    def test_repeated_hypothesis_id_is_one_input_error(self, tmp_path, capsys):
+        inp = self.write(tmp_path / "in.jsonl", self.GOOD)
+        gold = tmp_path / "gold.jsonl"
+        assert main(["corrupt", str(inp), str(gold), "--seed", "1"]) == 0
+        hyp = self.write(tmp_path / "hyp.jsonl", self.GOOD, self.GOOD)
+        capsys.readouterr()
+        assert main(["evaluate", str(gold), str(hyp)]) == 1
+        assert capsys.readouterr().err == (
+            f"error E_INPUT: {hyp}:2: sample id 'a' repeats line 1\n")
+
+    def test_repeats_refused_only_where_ids_key_the_input(self, tmp_path):
+        repeats = self.write(tmp_path / "rep.jsonl", self.GOOD, self.GOOD)
+        unique = self.write(tmp_path / "in.jsonl", self.GOOD)
+        out = str(tmp_path / "o.jsonl")
+        assert main(["correct", str(repeats), out]) == 1
+        assert main(["correct", str(unique), out, "--lm-corpus", str(repeats)]) == 0
+        assert main(["stats", str(repeats)]) == 0
+        assert main(["derive-stats", str(repeats), out]) == 0
 
 
 class TestStats:
@@ -419,3 +491,106 @@ class TestConfig:
         cfg = tmp_path / "ltgec.cfg"
         cfg.write_text("# defaults\nsplit-max = 50\n", encoding="utf-8")
         assert main(["stats", str(corpus_file), "--config", str(cfg)]) == 0
+
+    @pytest.fixture
+    def std_fds_restored(self):
+        """fd 0 reads nothing, and fds 0 and 1 are put back afterwards, so a
+        value taken for a file descriptor can neither block the test nor
+        close its output."""
+        saved = [os.dup(0), os.dup(1)]
+        null = os.open(os.devnull, os.O_RDONLY)
+        os.dup2(null, 0)
+        os.close(null)
+        yield
+        for fd, copy in enumerate(saved):
+            os.dup2(copy, fd)
+            os.close(copy)
+
+    # Each value either acts as its flag does, given the flag arguments, or
+    # is refused with the error line given. Path values are file names
+    # relative to the working directory.
+    VALUES = [
+        ("extra_chars = 123", "preprocess", ["--extra-chars", "123"]),
+        ("groups = 1", "corrupt", ["--groups", "1"]),
+        ("min_chars = 20.5", "preprocess",
+         "error E_INPUT: {cfg}:1: min_chars needs a whole number, got '20.5'"),
+        ("format = xml", "corrupt",
+         "error E_INPUT: {cfg}:1: format needs one of auto, jsonl, text, got 'xml'"),
+        ("table = 0", "corrupt", ["--table", "0"]),
+        ("json = yes", "evaluate", ["--json", "yes"]),
+        ("keyboard_weights = on", "corrupt", ["--keyboard-weights", "on"]),
+        ("rule_errors = off", "corrupt", []),
+    ]
+
+    @pytest.mark.parametrize("line,command,expected", VALUES)
+    def test_value_reads_as_its_flag(self, line, command, expected, corpus_file, tmp_path,
+                                     monkeypatch, capsys, std_fds_restored):
+        monkeypatch.chdir(tmp_path)
+        gold, hyp = tmp_path / "gold.jsonl", tmp_path / "hyp.jsonl"
+        if command == "evaluate":
+            assert main(["corrupt", str(corpus_file), str(gold), "--seed", "7"]) == 0
+            write_corpus(hyp, [TextSample(p.id, p.target) for p in load_pairs(gold)])
+        inputs = {
+            "preprocess": [str(corpus_file), "o.jsonl"],
+            "corrupt": [str(corpus_file), "o.jsonl", "--seed", "1"],
+            "evaluate": [str(gold), str(hyp)],
+        }[command]
+        cfg = tmp_path / "ltgec.cfg"
+        cfg.write_text(line + "\n", encoding="utf-8")
+
+        def run(*extra):
+            capsys.readouterr()
+            code = main([command, *inputs, *extra])
+            out, err = capsys.readouterr()
+            written = {}
+            for name in ("o.jsonl", "yes"):
+                if (tmp_path / name).exists():
+                    written[name] = (tmp_path / name).read_bytes()
+                    (tmp_path / name).unlink()
+            return code, out, err, written
+
+        got = run("--config", str(cfg))
+        if isinstance(expected, str):
+            assert got == (1, "", expected.format(cfg=cfg) + "\n", {})
+        else:
+            assert got == run(*expected)
+            code, _, err, _ = got
+            assert code == 0 or (err.startswith("error E_") and err.count("\n") == 1)
+
+    def test_keys_of_other_subcommands_are_checked_then_ignored(self, corpus_file, tmp_path,
+                                                                 capsys):
+        cfg = tmp_path / "ltgec.cfg"
+        cfg.write_text("table = missing.tsv\nbeta = 2\n", encoding="utf-8")
+        assert main(["stats", str(corpus_file), "--config", str(cfg)]) == 0
+        cfg.write_text("min_chars = 20.5\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["stats", str(corpus_file), "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == (
+            f"error E_INPUT: {cfg}:1: min_chars needs a whole number, got '20.5'\n")
+
+    def test_keys_read_alike_in_every_subcommand(self):
+        # load_config reads a key with any one subcommand's option for it
+        parser = cli.build_parser()
+        keys = cli._config_actions(parser)
+        readings: dict = {}
+        for sp in cli._subparsers(parser):
+            for action in sp._actions:
+                if action.dest in keys:
+                    readings.setdefault(action.dest, set()).add(
+                        (action.type, action.choices, action.nargs))
+        assert readings.keys() == keys.keys()
+        assert {key: r for key, r in readings.items() if len(r) > 1} == {}
+
+    def test_parser_built_once(self, corpus_file, tmp_path, monkeypatch):
+        calls = []
+        build = cli.build_parser
+
+        def counted(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(cli, "build_parser", counted)
+        cfg = tmp_path / "ltgec.cfg"
+        cfg.write_text("tokenizer = words\n", encoding="utf-8")
+        assert main(["stats", str(corpus_file), "--config", str(cfg)]) == 0
+        assert len(calls) == 1

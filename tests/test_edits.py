@@ -3,7 +3,7 @@ import json
 import pickle
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ltgec.corpus import TextSample
@@ -11,10 +11,10 @@ from ltgec.edits import (
     Edit,
     ErrorCategory,
     ParallelPair,
-    Plan,
     apply_edits,
     apply_plans,
     check_edits_sorted_disjoint,
+    _intersects,
     drop_conflicting,
     pair_from_json,
     pair_to_json,
@@ -55,65 +55,94 @@ class TestEdit:
 
 class TestDropConflicting:
     def test_keeps_earlier_planned_on_overlap(self):
-        plans = [Plan(0, 2, "xx", CAT), Plan(1, 3, "yy", CAT)]
+        plans = [Edit(0, 2, "xx", CAT), Edit(1, 3, "yy", CAT)]
         assert drop_conflicting(plans, []) == [plans[0]]
 
     def test_planning_order_beats_position(self):
-        plans = [Plan(4, 6, "xx", CAT), Plan(3, 5, "yy", CAT)]
+        plans = [Edit(4, 6, "xx", CAT), Edit(3, 5, "yy", CAT)]
         assert drop_conflicting(plans, []) == [plans[0]]
 
     def test_blocked_spans_exclude(self):
         blocked = [Edit(2, 4, "orig")]
-        plans = [Plan(3, 5, "x", CAT), Plan(6, 7, "y", CAT)]
+        plans = [Edit(3, 5, "x", CAT), Edit(6, 7, "y", CAT)]
         assert drop_conflicting(plans, blocked) == [plans[1]]
 
     def test_zero_width_at_boundary_survives(self):
         blocked = [Edit(2, 4, "orig")]
-        plans = [Plan(2, 2, "x", CAT), Plan(4, 4, "y", CAT), Plan(3, 3, "z", CAT)]
+        plans = [Edit(2, 2, "x", CAT), Edit(4, 4, "y", CAT), Edit(3, 3, "z", CAT)]
         kept = drop_conflicting(plans, blocked)
         assert kept == [plans[0], plans[1]]  # strictly-inside insertion dropped
 
     def test_touching_plans_coexist(self):
-        plans = [Plan(0, 2, "x", CAT), Plan(2, 4, "y", CAT)]
+        plans = [Edit(0, 2, "x", CAT), Edit(2, 4, "y", CAT)]
         assert drop_conflicting(plans, []) == plans
+
+
+def _plans_on(text, raw):
+    """Plans on ``text`` from (start, width, replacement) draws, clipped to it."""
+    plans = []
+    for start, width, repl in raw:
+        start = min(start, len(text))
+        plans.append(Edit(start, min(start + width, len(text)), repl, CAT))
+    return plans
+
+
+_RAW_PLANS = st.lists(st.tuples(st.integers(0, 14), st.integers(0, 3),
+                                st.text(alphabet="xy", max_size=2)), max_size=8)
+
+
+class TestDropConflictingReference:
+    @settings(max_examples=300)
+    @given(st.text(alphabet="ab", max_size=12), _RAW_PLANS, _RAW_PLANS)
+    def test_matches_brute_force(self, text, earlier, later):
+        # apply_plans' edits block the later plans; adjacent deletions among
+        # the earlier plans make zero-width repeats there
+        corrupted, blocked = apply_plans(text, [], _plans_on(text, earlier))
+        plans = _plans_on(corrupted, later)
+        expected = []
+        for p in plans:
+            if not any(_intersects(p.start, p.end, q.start, q.end)
+                       for q in [*blocked, *expected]):
+                expected.append(p)
+        assert drop_conflicting(plans, blocked) == expected
 
 
 class TestApplyPlans:
     def test_substitution_payload_present(self):
-        text, edits = apply_plans("atgal", [], [Plan(1, 2, "d", CAT)])
+        text, edits = apply_plans("atgal", [], [Edit(1, 2, "d", CAT)])
         assert text == "adgal"
         assert edits == [Edit(1, 2, "t", CAT)]
         assert apply_edits(text, edits) == "atgal"
 
     def test_deletion(self):
-        text, edits = apply_plans("iššūkis", [], [Plan(1, 2, "", CAT)])
+        text, edits = apply_plans("iššūkis", [], [Edit(1, 2, "", CAT)])
         assert text == "išūkis"
         assert edits == [Edit(1, 1, "š", CAT)]
 
     def test_insertion(self):
-        text, edits = apply_plans("kava", [], [Plan(2, 2, "x", CAT)])
+        text, edits = apply_plans("kava", [], [Edit(2, 2, "x", CAT)])
         assert text == "kaxva"
         assert edits == [Edit(2, 3, "", CAT)]
         assert apply_edits(text, edits) == "kava"
 
     def test_multiple_plans_shift_correctly(self):
-        plans = [Plan(0, 1, "XY", CAT), Plan(3, 4, "", CAT)]
+        plans = [Edit(0, 1, "XY", CAT), Edit(3, 4, "", CAT)]
         text, edits = apply_plans("abcd", [], plans)
         assert text == "XYbc"
         assert apply_edits(text, edits) == "abcd"
 
     def test_old_edits_shift_past_new_plans(self):
         # first pass corrupts position 4, second pass inserts before it
-        text1, edits1 = apply_plans("abcdef", [], [Plan(4, 5, "X", CAT)])
+        text1, edits1 = apply_plans("abcdef", [], [Edit(4, 5, "X", CAT)])
         assert text1 == "abcdXf"
-        text2, edits2 = apply_plans(text1, edits1, [Plan(1, 2, "YY", CAT)])
+        text2, edits2 = apply_plans(text1, edits1, [Edit(1, 2, "YY", CAT)])
         assert text2 == "aYYcdXf"
         assert apply_edits(text2, edits2) == "abcdef"
 
     def test_zero_width_before_old_edit(self):
-        text1, edits1 = apply_plans("ab", [], [Plan(1, 1, "X", CAT)])
+        text1, edits1 = apply_plans("ab", [], [Edit(1, 1, "X", CAT)])
         assert text1 == "aXb"
-        text2, edits2 = apply_plans(text1, edits1, [Plan(1, 1, "Y", CAT)])
+        text2, edits2 = apply_plans(text1, edits1, [Edit(1, 1, "Y", CAT)])
         assert text2 == "aYXb"
         assert apply_edits(text2, edits2) == "ab"
 
@@ -128,7 +157,7 @@ class TestApplyPlans:
             end = min(start + width, len(text))
             if repl == text[start:end]:
                 continue
-            plans.append(Plan(start, end, repl, CAT))
+            plans.append(Edit(start, end, repl, CAT))
         kept = drop_conflicting(plans, [])
         corrupted, edits = apply_plans(text, [], kept)
         assert apply_edits(corrupted, edits) == text
@@ -167,6 +196,13 @@ class TestPairIO:
         line = line.replace('"edits": []', f'"edits": {json.dumps(edits)}')
         with pytest.raises(ValueError, match=message):
             pair_from_json(line)
+
+    @pytest.mark.parametrize("bad_id", [None, {"k": 1}, True, 1.5])
+    def test_id_neither_string_nor_integer_rejected(self, bad_id):
+        record = {"id": bad_id, "source": "a", "target": "a", "edits": []}
+        buf = io.StringIO(json.dumps(record) + "\n")
+        with pytest.raises(ValueError, match="line 1: id must be a string or an integer"):
+            list(read_pairs(buf))
 
     def test_bad_record_reports_line(self):
         buf = io.StringIO('{"id": "1", "source": "a", "target": "a", "edits": []}\nnope\n')

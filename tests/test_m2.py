@@ -129,6 +129,8 @@ class TestRead:
         ("S ab\nwat\n", 2, "unexpected line"),
         ("S ab\n\n", 1, "without annotation"),
         ("S ab\nA 0 9|||other|||x|||0\n", 1, "exceeds source length"),
+        # unsorted edits, refused as JSONL gold refuses them
+        ("S abcd\nA 2 3|||other|||X|||0\nA 0 1|||other|||Y|||0\n", 1, "edits not sorted"),
     ])
     def test_malformed_lines_report_position(self, text, lineno, message):
         with pytest.raises(ValueError, match=message) as err:
