@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Iterable
 
 from . import confusions, corpus, corrector, evaluator, m2, tokenstats
-from .edits import CATEGORY_BY_VALUE, ErrorCategory, ParallelPair, read_pairs, write_pairs
+from .edits import CATEGORY_BY_VALUE, ErrorCategory, ParallelPair, read_numbered_pairs, write_pairs
 from .families import ALL_GROUPS, check_rate
 from .keyboard import KeyboardModel, default_keyboard, load_keyboard_weights
 
@@ -49,28 +49,35 @@ def _read_sample_file(path: str, fmt: str) -> list[corpus.TextSample]:
         return list(corpus.read_text_paragraphs(fp, source=Path(path).name))
 
 
+def _unique_ids(path: str, numbered: Iterable[tuple[int, object]]) -> list:
+    """The records of an input keyed by id, where an id may appear once."""
+    records = []
+    lines: dict[str, int] = {}
+    for lineno, record in numbered:
+        if record.id in lines:
+            raise CliError(E_INPUT, f"{path}:{lineno}: sample id {record.id!r} "
+                                    f"repeats line {lines[record.id]}")
+        lines[record.id] = lineno
+        records.append(record)
+    return records
+
+
 def _read_keyed_samples(path: str, fmt: str) -> list[corpus.TextSample]:
-    """The samples of an input keyed by id, where an id may appear once.
-    Plain-text paragraphs are numbered, so never repeat one."""
+    """The samples of an input keyed by id. Plain-text paragraphs are
+    numbered, so never repeat one."""
     if _detect_format(path, fmt) != "jsonl":
         return _read_sample_file(path, fmt)
-    samples: list[corpus.TextSample] = []
-    lines: dict[str, int] = {}
     with open(path, encoding="utf-8") as fp:
-        for lineno, sample in corpus.read_numbered_samples(fp):
-            if sample.id in lines:
-                raise CliError(E_INPUT, f"{path}:{lineno}: sample id {sample.id!r} "
-                                        f"repeats line {lines[sample.id]}")
-            lines[sample.id] = lineno
-            samples.append(sample)
-    return samples
+        return _unique_ids(path, corpus.read_numbered_samples(fp))
 
 
 def _read_pair_file(path: str) -> list[ParallelPair]:
+    """Gold pairs. JSONL pairs are keyed by id; M2 pairs are numbered by
+    position, so never repeat one."""
     with open(path, encoding="utf-8") as fp:
         if path.endswith(".m2"):
             return list(m2.read_m2(fp))
-        return list(read_pairs(fp))
+        return _unique_ids(path, read_numbered_pairs(fp))
 
 
 def _parse_groups(raw: str) -> frozenset[ErrorCategory]:

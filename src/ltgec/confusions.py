@@ -38,16 +38,19 @@ class ConfusionGroup:
         """Leftmost non-overlapping non-empty matches: the group's sites."""
         return [m for m in self.regex.finditer(text) if m.end() > m.start()]
 
-    def replacement_options(self, surface: str) -> tuple[list[str], list[float]]:
+    def replacement_counts(self, surface: str) -> tuple[list[str], list[int]]:
         """Replacement candidates for a matched surface: the group's *other*
-        variants, weighted by how frequent they are."""
+        variants with their counts, or none if the counts sum to zero."""
         options = [(v, c) for v, c in self.variants if v != surface]
-        if not options:
+        if sum(c for _, c in options) <= 0:
             return [], []
-        total = sum(c for _, c in options)
-        if total <= 0:
-            return [], []
-        return [v for v, _ in options], [c / total for _, c in options]
+        return [v for v, _ in options], [c for _, c in options]
+
+    def replacement_options(self, surface: str) -> tuple[list[str], list[float]]:
+        """The replacement candidates, weighted by how frequent they are."""
+        options, counts = self.replacement_counts(surface)
+        total = sum(counts)
+        return options, [c / total for c in counts]
 
 
 @dataclass(frozen=True)
@@ -163,7 +166,10 @@ def read_table(fp: TextIO) -> ConfusionTable:
                 variants = []
                 _compile(pattern)
             elif fields[0] == "" and pattern is not None:
-                variants.append((json.loads(fields[1]), int(fields[2])))
+                count = int(fields[2])
+                if count < 0:
+                    raise ValueError(f"negative count {count}")
+                variants.append((json.loads(fields[1]), count))
             else:
                 raise ValueError("unrecognised line")
         except (IndexError, ValueError, KeyError, json.JSONDecodeError, re.error) as exc:

@@ -159,12 +159,18 @@ def pair_to_json(pair: ParallelPair) -> str:
     )
 
 
+def _span_index(value) -> int:
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise TypeError(f"edit spans must be integers, got {value!r}")
+
+
 def pair_from_json(line: str) -> ParallelPair:
     """Parse one record; as for M2 gold, its edits must be sorted, disjoint,
     inside the source, and turn the source into the target."""
     record = json.loads(line)
     edits = tuple(
-        Edit(int(s), int(e), repl, CATEGORY_BY_VALUE[cat] if cat else None)
+        Edit(_span_index(s), _span_index(e), repl, CATEGORY_BY_VALUE[cat] if cat else None)
         for s, e, repl, cat in record["edits"]
     )
     pair = ParallelPair(record_id(record), record["source"], record["target"], edits)
@@ -174,15 +180,20 @@ def pair_from_json(line: str) -> ParallelPair:
     return pair
 
 
-def read_pairs(fp: TextIO) -> Iterator[ParallelPair]:
+def read_numbered_pairs(fp: TextIO) -> Iterator[tuple[int, ParallelPair]]:
+    """JSONL pairs, each with the number of the line it was read from."""
     for lineno, line in enumerate(fp, 1):
         line = line.strip()
         if not line:
             continue
         try:
-            yield pair_from_json(line)
+            yield lineno, pair_from_json(line)
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"bad pair record on line {lineno}: {exc}") from exc
+
+
+def read_pairs(fp: TextIO) -> Iterator[ParallelPair]:
+    return (pair for _, pair in read_numbered_pairs(fp))
 
 
 def write_pairs(pairs: Iterable[ParallelPair], fp: TextIO) -> int:

@@ -3,7 +3,7 @@ evaluator: the typo operations and their mix, the rate checks, the letter
 sets and the site functions that say where each family can strike.
 
 Nothing here draws random numbers, so importing it does not load numpy; the
-planners that draw on these sites live in noiser.py.
+ops that draw on these sites live in noiser.py.
 """
 
 from __future__ import annotations

@@ -9,6 +9,7 @@ dataset of real mistyping statistics is available.
 from __future__ import annotations
 
 import functools
+import math
 import unicodedata
 from dataclasses import dataclass, field
 
@@ -133,8 +134,9 @@ def load_keyboard_weights(path) -> dict[str, tuple[tuple[str, float], ...]]:
                 w = float(fields[2])
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: bad weight {fields[2]!r}") from exc
-            if w <= 0:
-                raise ValueError(f"{path}:{lineno}: weight must be positive")
+            if not 0 < w < math.inf:
+                raise ValueError(f"{path}:{lineno}: weight must be positive and finite, "
+                                 f"got {fields[2]!r}")
             table.setdefault(src.lower(), []).append((dst.lower(), w))
     return {k: tuple(v) for k, v in table.items()}
 

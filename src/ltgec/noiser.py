@@ -3,7 +3,10 @@
 Six error families run in a fixed order (typos, confusions, gemination,
 assimilation, casing, spaces), each driven by its own RNG stream derived from
 (seed, sample id, family index), so output is reproducible and independent of
-worker scheduling or which other families are enabled.
+worker scheduling or which other families are enabled. Each family is one
+public op, corrupt_<family>, which corrupt calls with the edits of the
+families before it. A struck site that has options takes one of them by one
+more uniform draw on the same stream (_pick).
 
 Gold edits are expressed in corrupted-text coordinates and canonicalized
 through the same alignment the evaluator uses, so scoring a hypothesis equal
@@ -17,15 +20,16 @@ imports them back under their old names.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import re
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .alignment import extract_edits
-from .confusions import ConfusionGroup, ConfusionTable, default_table
+from .confusions import ConfusionTable, default_table
 from .corpus import TextSample, _L, _U
 from .edits import Edit, ErrorCategory, ParallelPair, apply_plans
 from .families import (
@@ -72,8 +76,10 @@ def sample_rng(seed: int, sample_id: str, family_index: int) -> np.random.Genera
 
 
 # ---------------------------------------------------------------------------
-# Family planners. Each returns corruption plans, forward Edits on the given
-# text, in a fixed planning order; apply_plans drops later-planned overlaps.
+# Single-family ops. Each corrupts ``text`` with one family, keeping the
+# ``edits`` of earlier families: plans are forward Edits on the text in a
+# fixed planning order, and apply_plans drops those that conflict. Each
+# returns the new text and the exact inverse edits, earlier ones shifted.
 
 def _strike(sites, rate: float, rng: np.random.Generator) -> list:
     """The draw rule of every family: one uniform draw per site, in site
@@ -84,182 +90,117 @@ def _strike(sites, rate: float, rng: np.random.Generator) -> list:
     return [site for site, x in zip(sites, u) if x < rate]
 
 
+def _cumulative(weights) -> list[float]:
+    """The table that _pick draws an option through: the cumulative sum of
+    p = weights / sum(weights), divided by its last entry, exactly as
+    Generator.choice(len(p), p=p) builds it. Like choice, it refuses
+    negative or non-finite probabilities."""
+    w = np.asarray(weights, dtype=np.float64)
+    total = w.sum()
+    if not (0.0 < total < np.inf and (w >= 0).all()):
+        raise ValueError(f"draw weights must be finite, non-negative and not all zero, "
+                         f"got {w.tolist()}")
+    c = (w / total).cumsum()
+    return (c / c[-1]).tolist()
+
+
+def _pick(cumulative: list[float], rng: np.random.Generator) -> int:
+    """The option a struck site takes: one uniform draw placed among the
+    cumulative weights, the draw Generator.choice makes."""
+    return bisect_right(cumulative, rng.random())
+
+
 _LINE_BREAKS = frozenset("\n\r")
 
 
-def _plan_typos(text: str, cfg: CorruptionConfig, kbd: KeyboardModel,
-                rng: np.random.Generator) -> list[Edit]:
+def corrupt_typos(text: str, cfg: CorruptionConfig, kbd: KeyboardModel,
+                  rng: np.random.Generator, edits=()) -> tuple[str, list[Edit]]:
+    """Each struck character draws an operation from cfg.typo_mix; a
+    substitution or an insertion also draws the key typed."""
     n = len(text)
-    mix = np.array([cfg.typo_mix[op] for op in TYPO_OPS], dtype=np.float64)
-    mix = mix / mix.sum()
-    sub_cache: dict[str, tuple[list[str], np.ndarray]] = {}
-
-    def options_for(ch: str):
-        cached = sub_cache.get(ch)
-        if cached is None:
-            chars, ws = kbd.substitution_options(ch)
-            probs = np.array(ws, dtype=np.float64)
-            if probs.size:
-                probs = probs / probs.sum()
-            cached = (chars, probs)
-            sub_cache[ch] = cached
-        return cached
-
+    ops = _cumulative([cfg.typo_mix[op] for op in TYPO_OPS])
+    keys: dict[str, tuple[list[str], list[float]]] = {}
     plans: list[Edit] = []
     cat = ErrorCategory.TYPOGRAPHICAL
     for i in _strike(range(n), cfg.typo_rate, rng):
-        if text[i] in _LINE_BREAKS:
+        ch = text[i]
+        if ch in _LINE_BREAKS:
             continue
-        op = TYPO_OPS[int(rng.choice(4, p=mix))]
-        if op == SUBSTITUTION:
-            chars, probs = options_for(text[i])
-            if not chars:
-                continue
-            repl = chars[int(rng.choice(len(chars), p=probs))]
-            if repl == text[i]:
-                continue
-            plans.append(Edit(i, i + 1, repl, cat))
-        elif op == DELETION:
+        op = TYPO_OPS[_pick(ops, rng)]
+        if op == DELETION:
             plans.append(Edit(i, i + 1, "", cat))
-        elif op == INSERTION:
-            chars, probs = options_for(text[i])
+        elif op == TRANSPOSITION:
+            lo = i if i + 1 < n else i - 1
+            if lo >= 0 and text[lo] != text[lo + 1]:
+                plans.append(Edit(lo, lo + 2, text[lo + 1] + text[lo], cat))
+        else:
+            if ch not in keys:
+                chars, ws = kbd.substitution_options(ch)
+                keys[ch] = chars, chars and _cumulative(ws)
+            chars, cumulative = keys[ch]
             if not chars:
                 continue
-            ins = chars[int(rng.choice(len(chars), p=probs))]
-            plans.append(Edit(i + 1, i + 1, ins, cat))
-        else:
-            j = i + 1 if i + 1 < n else i - 1
-            if j < 0:
-                continue
-            lo = min(i, j)
-            if text[lo] == text[lo + 1]:
-                continue
-            plans.append(Edit(lo, lo + 2, text[lo + 1] + text[lo], cat))
-    return plans
+            typed = chars[_pick(cumulative, rng)]
+            if op == INSERTION:
+                plans.append(Edit(i + 1, i + 1, typed, cat))
+            elif typed != ch:
+                plans.append(Edit(i, i + 1, typed, cat))
+    return apply_plans(text, edits, plans)
 
 
-def _plan_confusions(text: str, groups: tuple[ConfusionGroup, ...], rate: float,
-                     rng: np.random.Generator) -> list[Edit]:
+def corrupt_confusions(text: str, table: ConfusionTable, rate: float,
+                       rng: np.random.Generator, edits=()) -> tuple[str, list[Edit]]:
+    """Each struck site of a group takes one of the group's other variants,
+    drawn by their counts."""
     plans: list[Edit] = []
-    option_cache: dict[tuple[str, str], tuple[list[str], np.ndarray]] = {}
-    for g in groups:
+    variants: dict[tuple[str, str], tuple[list[str], list[float]]] = {}
+    for g in table.groups:
         for m in _strike(g.sites(text), rate, rng):
             key = (g.pattern, m.group())
-            cached = option_cache.get(key)
-            if cached is None:
-                options, probs = g.replacement_options(m.group())
-                cached = (options, np.array(probs, dtype=np.float64))
-                option_cache[key] = cached
-            options, probs = cached
-            if not options:
-                continue
-            repl = options[int(rng.choice(len(options), p=probs))]
-            plans.append(Edit(m.start(), m.end(), repl, g.category))
-    return plans
+            if key not in variants:
+                options, counts = g.replacement_counts(m.group())
+                variants[key] = options, options and _cumulative(counts)
+            options, cumulative = variants[key]
+            if options:
+                plans.append(Edit(m.start(), m.end(), options[_pick(cumulative, rng)],
+                                  g.category))
+    return apply_plans(text, edits, plans)
 
 
-def _plan_gemination(text: str, rate: float, rng: np.random.Generator) -> list[Edit]:
+def corrupt_gemination(text: str, rate: float, rng: np.random.Generator,
+                       edits=()) -> tuple[str, list[Edit]]:
     cat = ErrorCategory.ASSIMILATION_GEMINATION
-    return [Edit(i, i + 1, "", cat) for i in _strike(gemination_sites(text), rate, rng)]
+    plans = [Edit(i, i + 1, "", cat) for i in _strike(gemination_sites(text), rate, rng)]
+    return apply_plans(text, edits, plans)
 
 
-def _plan_assimilation(text: str, rate: float, rng: np.random.Generator) -> list[Edit]:
+def corrupt_assimilation(text: str, rate: float, rng: np.random.Generator,
+                         edits=()) -> tuple[str, list[Edit]]:
     plans: list[Edit] = []
-    cat = ErrorCategory.ASSIMILATION_GEMINATION
     for i in _strike(assimilation_sites(text), rate, rng):
         ch = text[i]
         swapped = VOICING_SWAP[ch.lower()]
         if ch.isupper():
             swapped = swapped.upper()
-        plans.append(Edit(i, i + 1, swapped, cat))
-    return plans
+        plans.append(Edit(i, i + 1, swapped, ErrorCategory.ASSIMILATION_GEMINATION))
+    return apply_plans(text, edits, plans)
 
 
-def _plan_casing(text: str, rate: float, rng: np.random.Generator) -> list[Edit]:
+def corrupt_casing(text: str, rate: float, rng: np.random.Generator,
+                   edits=()) -> tuple[str, list[Edit]]:
     cat = ErrorCategory.CASING
-    return [Edit(i, i + 1, text[i].swapcase(), cat)
-            for i in _strike(casing_sites(text), rate, rng)]
+    plans = [Edit(i, i + 1, text[i].swapcase(), cat)
+             for i in _strike(casing_sites(text), rate, rng)]
+    return apply_plans(text, edits, plans)
 
 
-def _plan_spaces(text: str, rate: float, rng: np.random.Generator) -> list[Edit]:
+def corrupt_spaces(text: str, rate: float, rng: np.random.Generator,
+                   edits=()) -> tuple[str, list[Edit]]:
     dels, ins = space_sites(text)
     cat = ErrorCategory.SPACES
     plans = [Edit(i, i + 1, "", cat) for i in _strike(dels, rate, rng)]
     plans.extend(Edit(i, i, " ", cat) for i in _strike(ins, rate, rng))
-    return plans
-
-
-# ---------------------------------------------------------------------------
-# Rule-invertible errors: the exact inverses of the three cleanup fixers.
-# Useful for benchmarking the rule-based corrector on errors it can undo.
-
-_QUOTE_GLYPHS = frozenset("„“")
-_MISSING_INVERSES = (
-    re.compile(r"(?<=\d) (?=[md]\.)"),
-    re.compile(rf"(?<![{_L}{_U}])[{_U}]\. (?=[{_U}][{_L}])"),
-    re.compile(rf"(?<![{_L}{_U}])[{_L}{_U}]\. (?=[{_L}{_U}]\.)"),
-)
-_PUNCT_AFTER = frozenset(",.;:!?)]}")
-
-
-def _quote_style_options() -> tuple[list[str], np.ndarray]:
-    group = default_table().groups[-1]
-    options = [v for v, _ in group.variants]
-    probs = np.array([c for _, c in group.variants], dtype=np.float64)
-    return options, probs / probs.sum()
-
-
-def _plan_rule_errors(text: str, rate: float, rng: np.random.Generator) -> list[Edit]:
-    quotes = [i for i, ch in enumerate(text) if ch in _QUOTE_GLYPHS]
-    options, probs = _quote_style_options()
-    plans = [
-        Edit(i, i + 1, options[int(rng.choice(len(options), p=probs))], ErrorCategory.PUNCTUATION)
-        for i in _strike(quotes, rate, rng)
-    ]
-
-    seen: set[int] = set()
-    for regex in _MISSING_INVERSES:
-        for m in regex.finditer(text):
-            seen.add(m.end() - 1)
-    spaces = sorted(seen)
-    plans.extend(Edit(i, i + 1, "", ErrorCategory.SPACES) for i in _strike(spaces, rate, rng))
-
-    punct = [
-        i for i, ch in enumerate(text)
-        if ch in _PUNCT_AFTER and i > 0 and not text[i - 1].isspace()
-    ]
-    plans.extend(Edit(i, i, " ", ErrorCategory.SPACES) for i in _strike(punct, rate, rng))
-    return plans
-
-
-# ---------------------------------------------------------------------------
-# Public single-family ops: corrupt text with one family, returning the new
-# text and the exact inverse edits.
-
-def corrupt_typos(text: str, cfg: CorruptionConfig, kbd: KeyboardModel,
-                  rng: np.random.Generator) -> tuple[str, list[Edit]]:
-    return apply_plans(text, (), _plan_typos(text, cfg, kbd, rng))
-
-
-def corrupt_confusions(text: str, table: ConfusionTable, rate: float,
-                       rng: np.random.Generator) -> tuple[str, list[Edit]]:
-    return apply_plans(text, (), _plan_confusions(text, table.groups, rate, rng))
-
-
-def corrupt_gemination(text: str, rate: float, rng: np.random.Generator) -> tuple[str, list[Edit]]:
-    return apply_plans(text, (), _plan_gemination(text, rate, rng))
-
-
-def corrupt_assimilation(text: str, rate: float, rng: np.random.Generator) -> tuple[str, list[Edit]]:
-    return apply_plans(text, (), _plan_assimilation(text, rate, rng))
-
-
-def corrupt_casing(text: str, rate: float, rng: np.random.Generator) -> tuple[str, list[Edit]]:
-    return apply_plans(text, (), _plan_casing(text, rate, rng))
-
-
-def corrupt_spaces(text: str, rate: float, rng: np.random.Generator) -> tuple[str, list[Edit]]:
-    return apply_plans(text, (), _plan_spaces(text, rate, rng))
+    return apply_plans(text, edits, plans)
 
 
 # ---------------------------------------------------------------------------
@@ -306,35 +247,48 @@ def corrupt(sample: TextSample, cfg: CorruptionConfig,
     table = table if table is not None else default_table()
     kbd = kbd if kbd is not None else default_keyboard()
     enabled = cfg.enabled_groups
-    confusion_groups = table.by_category(
+    confusions = ConfusionTable(table.by_category(
         enabled & {ErrorCategory.PUNCTUATION, ErrorCategory.SIMILAR_SOUNDING}
-    )
+    ))
 
-    text = sample.text
-    raw: list[Edit] = []
-    families = (
-        (ErrorCategory.TYPOGRAPHICAL in enabled,
-         lambda t, r: _plan_typos(t, cfg, kbd, r)),
-        (bool(confusion_groups),
-         lambda t, r: _plan_confusions(t, confusion_groups, cfg.confusion_rate, r)),
-        (ErrorCategory.ASSIMILATION_GEMINATION in enabled,
-         lambda t, r: _plan_gemination(t, cfg.other_rate, r)),
-        (ErrorCategory.ASSIMILATION_GEMINATION in enabled,
-         lambda t, r: _plan_assimilation(t, cfg.other_rate, r)),
-        (ErrorCategory.CASING in enabled,
-         lambda t, r: _plan_casing(t, cfg.other_rate, r)),
-        (ErrorCategory.SPACES in enabled,
-         lambda t, r: _plan_spaces(t, cfg.other_rate, r)),
-    )
-    for index, (on, planner) in enumerate(families):
-        if not on:
-            continue
-        rng = sample_rng(cfg.seed, sample.id, index)
-        text, raw = apply_plans(text, raw, planner(text, rng))
+    def stream(family_index: int) -> np.random.Generator:
+        return sample_rng(cfg.seed, sample.id, family_index)
+
+    text, raw = sample.text, []
+    if ErrorCategory.TYPOGRAPHICAL in enabled:
+        text, raw = corrupt_typos(text, cfg, kbd, stream(0), raw)
+    if confusions.groups:
+        text, raw = corrupt_confusions(text, confusions, cfg.confusion_rate, stream(1), raw)
+    if ErrorCategory.ASSIMILATION_GEMINATION in enabled:
+        text, raw = corrupt_gemination(text, cfg.other_rate, stream(2), raw)
+        text, raw = corrupt_assimilation(text, cfg.other_rate, stream(3), raw)
+    if ErrorCategory.CASING in enabled:
+        text, raw = corrupt_casing(text, cfg.other_rate, stream(4), raw)
+    if ErrorCategory.SPACES in enabled:
+        text, raw = corrupt_spaces(text, cfg.other_rate, stream(5), raw)
     return _gold_pair(sample, text, raw)
 
 
+# ---------------------------------------------------------------------------
+# Rule-invertible errors: the exact inverses of the three cleanup fixers.
+# Useful for benchmarking the rule-based corrector on errors it can undo.
+
 _RULE_ERROR_STREAM = 6  # family index reserved for the rule-error generator
+_QUOTE_GLYPHS = frozenset("„“")
+_MISSING_INVERSES = (
+    re.compile(r"(?<=\d) (?=[md]\.)"),
+    re.compile(rf"(?<![{_L}{_U}])[{_U}]\. (?=[{_U}][{_L}])"),
+    re.compile(rf"(?<![{_L}{_U}])[{_L}{_U}]\. (?=[{_L}{_U}]\.)"),
+)
+_PUNCT_AFTER = frozenset(",.;:!?)]}")
+
+
+@functools.cache
+def _quote_styles() -> tuple[list[str], list[float]]:
+    """The variants of the default table's quote-style group, and the table
+    _pick draws them through."""
+    variants = default_table().groups[-1].variants
+    return [v for v, _ in variants], _cumulative([c for _, c in variants])
 
 
 def corrupt_rule_errors(sample: TextSample, rate: float = 0.02,
@@ -343,5 +297,19 @@ def corrupt_rule_errors(sample: TextSample, rate: float = 0.02,
     undo; every emitted error is rule-invertible."""
     check_rate("rate", rate)
     rng = sample_rng(seed, sample.id, _RULE_ERROR_STREAM)
-    text, raw = apply_plans(sample.text, (), _plan_rule_errors(sample.text, rate, rng))
+    text = sample.text
+    quotes = [i for i, ch in enumerate(text) if ch in _QUOTE_GLYPHS]
+    styles, cumulative = _quote_styles()
+    plans = [Edit(i, i + 1, styles[_pick(cumulative, rng)], ErrorCategory.PUNCTUATION)
+             for i in _strike(quotes, rate, rng)]
+
+    spaces = sorted({m.end() - 1 for regex in _MISSING_INVERSES for m in regex.finditer(text)})
+    plans.extend(Edit(i, i + 1, "", ErrorCategory.SPACES) for i in _strike(spaces, rate, rng))
+
+    punct = [
+        i for i, ch in enumerate(text)
+        if ch in _PUNCT_AFTER and i > 0 and not text[i - 1].isspace()
+    ]
+    plans.extend(Edit(i, i, " ", ErrorCategory.SPACES) for i in _strike(punct, rate, rng))
+    text, raw = apply_plans(text, (), plans)
     return _gold_pair(sample, text, raw)

@@ -226,6 +226,31 @@ class TestEvaluate:
         assert main(["evaluate", str(gold_file), str(hyp)]) == 1
         assert "error E_INPUT" in capsys.readouterr().err
 
+    PAIR = {"id": "a", "source": "abc", "target": "abd", "edits": [[2, 3, "d", "typographical"]]}
+
+    def test_repeated_gold_id_is_one_input_error(self, tmp_path, capsys):
+        gold = tmp_path / "gold.jsonl"
+        same_id = {"id": "a", "source": "xyz", "target": "xyz", "edits": []}
+        gold.write_text(f"{json.dumps(self.PAIR)}\n{json.dumps(same_id)}\n", encoding="utf-8")
+        hyp = tmp_path / "hyp.jsonl"
+        write_corpus(hyp, [TextSample("a", "abd")])
+        assert main(["evaluate", str(gold), str(hyp)]) == 1
+        assert capsys.readouterr().err == (
+            f"error E_INPUT: {gold}:2: sample id 'a' repeats line 1\n")
+
+    @pytest.mark.parametrize("span", [[2.9, 3], ["2", 3], [2, 3.0]])
+    def test_non_integer_span_is_one_input_error(self, span, tmp_path, capsys):
+        gold = tmp_path / "gold.jsonl"
+        pair = {**self.PAIR, "edits": [[*span, "d", "typographical"]]}
+        gold.write_text(json.dumps(pair) + "\n", encoding="utf-8")
+        hyp = tmp_path / "hyp.txt"
+        hyp.write_text("abd\n", encoding="utf-8")
+        assert main(["evaluate", str(gold), str(hyp)]) == 1
+        bad = span[0] if span[0] != 2 else span[1]
+        assert capsys.readouterr().err == (
+            f"error E_INPUT: bad pair record on line 1: edit spans must be integers, "
+            f"got {bad!r}\n")
+
 
 class TestJobs:
     @pytest.fixture(autouse=True)
@@ -309,6 +334,110 @@ class TestMalformedSamples:
         inp = tmp_path / "in.jsonl"
         inp.write_text('{"id": "a", "text": "Labas.", "source": null}\n', encoding="utf-8")
         assert load_samples(inp) == [TextSample("a", "Labas.")]
+
+
+class TestDrawWeights:
+    """Weights that cannot be drawn from are refused as their file is read,
+    whether or not a site would have drawn on them."""
+
+    COMMANDS = {
+        "corrupt": ["--seed", "1", "--typo-rate", "1", "--confusion-rate", "1"],
+        "correct": ["--lm-corpus", "IN"],
+    }
+
+    def run(self, command, option, path, tmp_path):
+        inp = tmp_path / "in.jsonl"
+        write_corpus(inp, [TextSample("a", "Labas rytas, kaip sekasi šiandien?")])
+        extra = [str(inp) if a == "IN" else a for a in self.COMMANDS[command]]
+        return main([command, str(inp), str(tmp_path / "o.jsonl"), *extra,
+                     option, str(path)])
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])
+    def test_non_finite_keyboard_weight(self, command, weight, tmp_path, capsys):
+        weights = tmp_path / "weights.tsv"
+        weights.write_text(f"a s 1.0\na q {weight}\n", encoding="utf-8")
+        assert self.run(command, "--keyboard-weights", weights, tmp_path) == 1
+        assert capsys.readouterr().err == (
+            f"error E_INPUT: {weights}:2: weight must be positive and finite, "
+            f"got {weight!r}\n")
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_negative_table_count(self, command, tmp_path, capsys):
+        table = tmp_path / "table.tsv"
+        table.write_text('group\t"[aeo]"\tsimilar-sounding\n\t"a"\t5\n\t"e"\t-1\n\t"o"\t2\n',
+                         encoding="utf-8")
+        assert self.run(command, "--table", table, tmp_path) == 1
+        assert capsys.readouterr().err == (
+            "error E_INPUT: confusion table line 3: negative count -1\n")
+
+
+class TestMalformedInputs:
+    """Each malformed line is one error line and no traceback, through every
+    subcommand that reads that kind of file."""
+
+    SAMPLE = {"id": "a", "text": "Geras sakinys apie orą.", "source": "s"}
+    PAIR = {"id": "a", "source": "abc", "target": "abd", "edits": [[2, 3, "d", "typographical"]]}
+    SAMPLE_LINES = {
+        "bad-utf8": b"\xff\xfe not text",
+        "json-array": b'["b", "Labas rytas."]',
+        "no-id": b'{"text": "Labas rytas."}',
+        "no-text": b'{"id": "b"}',
+    }
+    SAMPLE_READERS = {
+        "preprocess": ["preprocess", "BAD", "OUT"],
+        "corrupt": ["corrupt", "BAD", "OUT", "--seed", "1"],
+        "correct": ["correct", "BAD", "OUT"],
+        "correct --lm-corpus": ["correct", "GOOD", "OUT", "--lm-corpus", "BAD"],
+        "stats": ["stats", "BAD"],
+        "derive-stats": ["derive-stats", "BAD", "OUT"],
+        "evaluate hypotheses": ["evaluate", "GOLD", "BAD"],
+    }
+    PAIR_LINES = {
+        "bad-utf8": b"\xff\xfe not text",
+        "json-array": b'["b", "abc", "abc", []]',
+        "no-id": b'{"source": "abc", "target": "abc", "edits": []}',
+        "no-source": b'{"id": "b", "target": "abc", "edits": []}',
+    }
+    M2_BLOCKS = {
+        "bad-utf8": b"S \xff\xfe\nA -1 -1|||noop|||-NONE-|||0\n",
+        "span-past-end": b"S abc\nA 2 9|||other|||d|||0\n",
+        "span-reversed": b"S abc\nA 2 1|||other|||d|||0\n",
+    }
+
+    def run(self, argv, tmp_path, capsys, bad_name, bad_bytes):
+        bad = tmp_path / bad_name
+        bad.write_bytes(bad_bytes)
+        good = tmp_path / "good.jsonl"
+        good.write_text(json.dumps(self.SAMPLE) + "\n", encoding="utf-8")
+        gold = tmp_path / "gold.jsonl"
+        gold.write_text(json.dumps(self.PAIR) + "\n", encoding="utf-8")
+        paths = {"BAD": bad, "GOOD": good, "GOLD": gold, "OUT": tmp_path / "o.jsonl"}
+        code = main([str(paths.get(a, a)) for a in argv])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error E_") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("reader", sorted(SAMPLE_READERS))
+    @pytest.mark.parametrize("line", sorted(SAMPLE_LINES))
+    def test_bad_sample_line(self, reader, line, tmp_path, capsys):
+        data = json.dumps(self.SAMPLE).encode() + b"\n" + self.SAMPLE_LINES[line] + b"\n"
+        self.run(self.SAMPLE_READERS[reader], tmp_path, capsys, "bad.jsonl", data)
+
+    @pytest.mark.parametrize("line", sorted(PAIR_LINES))
+    def test_bad_jsonl_gold_line(self, line, tmp_path, capsys):
+        data = json.dumps(self.PAIR).encode() + b"\n" + self.PAIR_LINES[line] + b"\n"
+        (tmp_path / "hyp.txt").write_text("abd\nabc\n", encoding="utf-8")
+        self.run(["evaluate", "BAD", str(tmp_path / "hyp.txt")], tmp_path, capsys,
+                 "bad.jsonl", data)
+
+    @pytest.mark.parametrize("block", sorted(M2_BLOCKS))
+    def test_bad_m2_gold(self, block, tmp_path, capsys):
+        data = b"S abc\nA 2 3|||other|||d|||0\n\n" + self.M2_BLOCKS[block]
+        (tmp_path / "hyp.txt").write_text("abd\nabc\n", encoding="utf-8")
+        self.run(["evaluate", "BAD", str(tmp_path / "hyp.txt")], tmp_path, capsys,
+                 "bad.m2", data)
 
 
 class TestSampleIds:

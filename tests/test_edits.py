@@ -204,6 +204,13 @@ class TestPairIO:
         with pytest.raises(ValueError, match="line 1: id must be a string or an integer"):
             list(read_pairs(buf))
 
+    @pytest.mark.parametrize("span", [[0.0, 2], ["0", 2], [0, True]])
+    def test_span_not_an_integer_rejected(self, span):
+        record = {"id": "p", "source": "abcd", "target": "xcd", "edits": [[*span, "x", None]]}
+        buf = io.StringIO(json.dumps(record) + "\n")
+        with pytest.raises(ValueError, match="line 1: edit spans must be integers"):
+            list(read_pairs(buf))
+
     def test_bad_record_reports_line(self):
         buf = io.StringIO('{"id": "1", "source": "a", "target": "a", "edits": []}\nnope\n')
         with pytest.raises(ValueError, match="line 2"):

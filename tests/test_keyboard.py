@@ -87,6 +87,8 @@ class TestWeights:
         "pp b 1.0",            # multi-char key
         "p b zero",            # weight not a number
         "p b -2",              # weight not positive
+        "p b nan",             # weight not a finite number
+        "p b inf",
     ])
     def test_malformed_lines_report_number(self, tmp_path, line):
         path = tmp_path / "weights.tsv"

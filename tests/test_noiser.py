@@ -23,6 +23,7 @@ from ltgec.noiser import (
     sample_rng,
     space_sites,
 )
+from ltgec.noiser import _cumulative, _pick
 
 ALWAYS = 1.0
 
@@ -62,6 +63,51 @@ class TestSampleRng:
         assert not np.array_equal(base, sample_rng(7, "sample-1", 1).random(4))
         assert not np.array_equal(base, sample_rng(7, "sample-2", 0).random(4))
         assert not np.array_equal(base, sample_rng(8, "sample-1", 0).random(4))
+
+
+class TestDraws:
+    def test_pick_draws_as_generator_choice(self):
+        # rng.choice is the oracle: twin generators draw through it and
+        # through _pick, over p of every length from 1 to 20 (from 8 on, the
+        # normalisation sums pairwise), with zero weights and wide scales
+        weights_rng = rng(2024)
+        for case in range(200):
+            k = case % 20 + 1
+            w = weights_rng.random(k) * 10.0 ** weights_rng.integers(-3, 7)
+            w[weights_rng.random(k) < 0.25] = 0.0
+            if not w.any():
+                w[-1] = 1.0
+            cumulative = _cumulative(w)
+            oracle, twin = rng(case), rng(case)
+            expected = [int(oracle.choice(k, p=w / w.sum())) for _ in range(200)]
+            assert [_pick(cumulative, twin) for _ in range(200)] == expected
+            assert oracle.random() == twin.random()  # one uniform per draw
+
+    @pytest.mark.parametrize("weights", [
+        [0.5, -0.5, 1.0],
+        [0.5, float("nan")],
+        [1.0, float("inf")],
+        [0.0, 0.0],
+        [],
+    ])
+    def test_table_refuses_bad_weights(self, weights):
+        with pytest.raises(ValueError, match="draw weights must be finite, non-negative"):
+            _cumulative(weights)
+
+    def test_corrupt_chains_the_single_family_ops(self, corpus_factory):
+        cfg = CorruptionConfig(seed=5, typo_rate=0.05, confusion_rate=0.05, other_rate=0.05)
+        for sample in corpus_factory(10, seed=2):
+            def stream(index):
+                return sample_rng(cfg.seed, sample.id, index)
+
+            text, edits = corrupt_typos(sample.text, cfg, default_keyboard(), stream(0))
+            text, edits = corrupt_confusions(text, default_table(), cfg.confusion_rate,
+                                             stream(1), edits)
+            for index, op in enumerate((corrupt_gemination, corrupt_assimilation,
+                                        corrupt_casing, corrupt_spaces), start=2):
+                text, edits = op(text, cfg.other_rate, stream(index), edits)
+            assert apply_edits(text, edits) == sample.text
+            assert corrupt(sample, cfg).source == text
 
 
 class TestGemination:
