@@ -189,19 +189,27 @@ def candidates(word: str, table: ConfusionTable | None = None,
     return [word, *_routes(word, ChannelModel(), table, kbd)]
 
 
+def _log_or_ninf(p: float) -> float:
+    return math.log(p) if p > 0 else float("-inf")
+
+
 def _best_candidate(word: str, model: UnigramModel, channel: ChannelModel,
                     table: ConfusionTable, kbd: KeyboardModel) -> str:
-    def log_or_ninf(p: float) -> float:
-        return math.log(p) if p > 0 else float("-inf")
-
-    scored: list[tuple[float, int, str]] = []
-    identity = _identity_prob(word, channel, table)
-    scored.append((model.log_prob(word) + log_or_ninf(identity), 0, word))
+    """The argmax of prior + log(identity * q) over the word (identity
+    route, wins ties) and its routes, ties then broken by the smaller
+    candidate. A route whose bound prior + log(q) is strictly below the best
+    score so far is skipped unscored: identity <= 1, so it can neither win
+    nor tie."""
+    best = (-(model.log_prob(word) + _log_or_ninf(_identity_prob(word, channel, table))),
+            0, word)
     for cand, q in _routes(word, channel, table, kbd).items():
-        prob = _identity_prob(cand, channel, table) * q
-        scored.append((model.log_prob(cand) + log_or_ninf(prob), 1, cand))
-    scored.sort(key=lambda item: (-item[0], item[1], item[2]))
-    return scored[0][2]
+        prior = model.log_prob(cand)
+        if prior + _log_or_ninf(q) < -best[0]:
+            continue
+        key = (-(prior + _log_or_ninf(_identity_prob(cand, channel, table) * q)), 1, cand)
+        if key < best:
+            best = key
+    return best[2]
 
 
 def noisy_channel_correct(text: str, model: UnigramModel,

@@ -2,10 +2,18 @@ import io
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import make_corpus
+from ltgec.confusions import default_table
+from ltgec.corpus import TextSample
 from ltgec.corrector import (
     ChannelModel,
     UnigramModel,
+    _best_candidate,
+    _identity_prob,
+    _routes,
     build_unigram,
     candidates,
     load_model,
@@ -13,7 +21,9 @@ from ltgec.corrector import (
     rule_correct,
     save_model,
 )
-from ltgec.tokenstats import EmptyCorpusError
+from ltgec.keyboard import default_keyboard
+from ltgec.noiser import CorruptionConfig, corrupt
+from ltgec.tokenstats import EmptyCorpusError, tokenize_words
 
 
 class TestRuleCorrect:
@@ -165,3 +175,72 @@ class TestNoisyChannel:
         model = build_unigram(["graži"] * 100)
         out = noisy_channel_correct("grazi grazi grazi", model)
         assert out == "graži graži graži"
+
+
+# ---------------------------------------------------------------------------
+# The speller's argmax as it scored every candidate, kept verbatim as the
+# reference for the version that skips candidates that cannot win.
+
+def _ref_best_candidate(word: str, model, channel, table, kbd) -> str:
+    def log_or_ninf(p: float) -> float:
+        return math.log(p) if p > 0 else float("-inf")
+
+    scored: list[tuple[float, int, str]] = []
+    identity = _identity_prob(word, channel, table)
+    scored.append((model.log_prob(word) + log_or_ninf(identity), 0, word))
+    for cand, q in _routes(word, channel, table, kbd).items():
+        prob = _identity_prob(cand, channel, table) * q
+        scored.append((model.log_prob(cand) + log_or_ninf(prob), 1, cand))
+    scored.sort(key=lambda item: (-item[0], item[1], item[2]))
+    return scored[0][2]
+
+
+CORPUS = [s.text for s in make_corpus(12, seed=4)]
+CHANNELS = [ChannelModel(typo_rate=r, confusion_rate=r, other_rate=r)
+            for r in (0.001, 0.02, 0.3, 0.99)]
+FREQUENT = "mokslininkai"
+FREQUENT_SLIPS = ("moslininkai", "mokslininaki", "mokslininkao")
+
+
+def _models():
+    corpus_model = build_unigram(CORPUS)
+    # one word so frequent that the routes of its slips lead away from them
+    counts = dict(corpus_model.counts)
+    counts[FREQUENT] = counts.get(FREQUENT, 0) + 10**9
+    return corpus_model, UnigramModel(counts, corpus_model.total + 10**9)
+
+
+MODELS = _models()
+
+
+def _corpus_words() -> list[str]:
+    cfg = CorruptionConfig(seed=1, typo_rate=0.1, confusion_rate=0.1, other_rate=0.1)
+    corrupted = [corrupt(TextSample(f"c{k}", text), cfg).source
+                 for k, text in enumerate(CORPUS)]
+    words = {w for text in CORPUS + corrupted for w in tokenize_words(text)}
+    return sorted(words | set(FREQUENT_SLIPS))
+
+
+@pytest.mark.parametrize("channel", CHANNELS, ids=lambda c: f"rate{c.typo_rate}")
+def test_pruned_argmax_equals_reference(channel):
+    table, kbd = default_table(), default_keyboard()
+    words = _corpus_words()
+    for model in MODELS:
+        for word in words:
+            assert (_best_candidate(word, model, channel, table, kbd)
+                    == _ref_best_candidate(word, model, channel, table, kbd)), word
+    # the argmax is not always the observed word
+    for slip in FREQUENT_SLIPS:
+        assert _best_candidate(slip, MODELS[1], channel, table, kbd) != slip
+
+
+LITHUANIAN = "aąbcčdeęėfghiįyjklmnoprsštuųūvzž"
+
+
+@settings(max_examples=200)
+@given(st.text(LITHUANIAN + LITHUANIAN.upper(), min_size=1, max_size=12),
+       st.sampled_from(CHANNELS), st.sampled_from(MODELS))
+def test_pruned_argmax_equals_reference_on_any_word(word, channel, model):
+    table, kbd = default_table(), default_keyboard()
+    assert (_best_candidate(word, model, channel, table, kbd)
+            == _ref_best_candidate(word, model, channel, table, kbd))

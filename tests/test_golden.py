@@ -11,6 +11,7 @@ nested-loop category mapping as the reference for its bisecting version.
 
 import hashlib
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 from conftest import PARAGRAPHS, make_corpus
 from ltgec.corpus import TextSample
-from ltgec.corrector import build_unigram, noisy_channel_correct
+from ltgec.corrector import ChannelModel, build_unigram, noisy_channel_correct
 from ltgec.edits import Edit, ErrorCategory, pair_to_json
 from ltgec.evaluator import _is_assimilation_shape, _is_gemination_shape, score
 from ltgec.noiser import (
@@ -59,6 +60,8 @@ DIGESTS = {
         "0c910c8c58c8f25024715c7661fb850bed52aa5b06728ab5b7255b201870cadb",
     "noisy_channel_correct":
         "39c64b1d31687245374d7d93e2a0f46653c2a33020df08c6a5eb49533a3a6b92",
+    "noisy_channel_correct/fixed-slips":
+        "0b31a58e35a82e2a72909d93f53788b5b5e3c07eb166f1089039092fc9b00d27",
     "score/noisy":
         "7181bd08d2ea4b280749b862ca38a52ac4c7567de98d43920dc76ac924d87daa",
     "score/cross-seed":
@@ -99,6 +102,38 @@ def test_noisy_channel_correct(noisy):
     assert sum(h != p.source for p, h in zip(pairs, hyps)) > 10
     assert digest(hyps) == DIGESTS["noisy_channel_correct"]
     assert digest([score(pairs, hyps).to_json()]) == DIGESTS["score/noisy"]
+
+
+_PLAIN = str.maketrans("ąčęėįšųūžĄČĘĖĮŠŲŪŽ", "aceeisuuzACEEISUUZ")
+
+
+def _slip(word: str, k: int) -> str:
+    """A fixed misspelling of the k-th word: none, lost diacritics, a
+    transposition, a deleted or a doubled letter. No RNG stream is drawn."""
+    mid = len(word) // 2
+    kind = k % 5
+    if kind == 1:
+        return word.translate(_PLAIN)
+    if kind == 2 and len(word) > 2:
+        return word[0] + word[2] + word[1] + word[3:]
+    if kind == 3 and len(word) > 1:
+        return word[:mid] + word[mid + 1:]
+    if kind == 4:
+        return word[:mid + 1] + word[mid:]
+    return word
+
+
+def test_noisy_channel_correct_fixed_slips():
+    # pins the speller alone: its inputs come from no corruption stream
+    counter = itertools.count()
+    texts = [re.sub(r"\w+", lambda m: _slip(m.group(), next(counter)), s.text)
+             for s in SAMPLES[:30] + SAMPLES[-8:]]
+    model = build_unigram([s.text for s in make_corpus(1000, seed=9)])
+    hyps = [noisy_channel_correct(t, model, channel=channel) for channel in (
+        ChannelModel(), ChannelModel(typo_rate=0.3, confusion_rate=0.3, other_rate=0.3))
+        for t in texts]
+    assert sum(h != t for h, t in zip(hyps, texts + texts)) > 30
+    assert digest(texts + hyps) == DIGESTS["noisy_channel_correct/fixed-slips"]
 
 
 def test_score_cross_seed(corrupted):
