@@ -1,8 +1,8 @@
 """Corpus engineering toolkit for Lithuanian grammatical error correction.
 
 The noiser's names resolve on first use (PEP 562), so ``import ltgec`` and
-every subcommand but ``corrupt`` run without loading numpy, which only the
-noiser's RNG streams need.
+every subcommand but ``corrupt`` run without loading the noiser. No module
+of the package needs numpy or any other third-party package.
 """
 
 from .alignment import AlignmentScript, AlignOp, align, extract_edits, replay

@@ -9,8 +9,10 @@ stats, correct and derive-stats. A --config file supplies defaults in
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
+import re
 import sys
 from pathlib import Path
 from typing import Iterable
@@ -35,6 +37,32 @@ class CliError(Exception):
 # ---------------------------------------------------------------------------
 # Input handling
 
+_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
+
+
+@contextlib.contextmanager
+def _reading(path: str):
+    """Open an input as UTF-8 text. Bad UTF-8 in it is one E_INPUT line that
+    names the file, the line and the byte."""
+    with open(path, encoding="utf-8") as fp:
+        try:
+            yield fp
+        except UnicodeDecodeError as exc:
+            raise CliError(E_INPUT, _not_utf8(path, exc)) from None
+
+
+def _not_utf8(path: str, exc: UnicodeDecodeError) -> str:
+    # read again with bad bytes escaped to U+DC80..U+DCFF, which strict UTF-8
+    # never yields, so the first escape is the first bad byte
+    with open(path, encoding="utf-8", errors="surrogateescape") as fp:
+        for lineno, line in enumerate(fp, 1):
+            m = _ESCAPED_BYTE.search(line)
+            if m:
+                return (f"{path}:{lineno}: not UTF-8: byte {ord(m.group()) - 0xDC00:#04x} "
+                        f"at column {m.start() + 1}")
+    return f"{path}: not UTF-8: {exc.reason}"
+
+
 def _detect_format(path: str, fmt: str) -> str:
     if fmt != "auto":
         return fmt
@@ -43,7 +71,7 @@ def _detect_format(path: str, fmt: str) -> str:
 
 def _read_sample_file(path: str, fmt: str) -> list[corpus.TextSample]:
     resolved = _detect_format(path, fmt)
-    with open(path, encoding="utf-8") as fp:
+    with _reading(path) as fp:
         if resolved == "jsonl":
             return list(corpus.read_samples(fp))
         return list(corpus.read_text_paragraphs(fp, source=Path(path).name))
@@ -67,14 +95,14 @@ def _read_keyed_samples(path: str, fmt: str) -> list[corpus.TextSample]:
     numbered, so never repeat one."""
     if _detect_format(path, fmt) != "jsonl":
         return _read_sample_file(path, fmt)
-    with open(path, encoding="utf-8") as fp:
+    with _reading(path) as fp:
         return _unique_ids(path, corpus.read_numbered_samples(fp))
 
 
 def _read_pair_file(path: str) -> list[ParallelPair]:
     """Gold pairs. JSONL pairs are keyed by id; M2 pairs are numbered by
     position, so never repeat one."""
-    with open(path, encoding="utf-8") as fp:
+    with _reading(path) as fp:
         if path.endswith(".m2"):
             return list(m2.read_m2(fp))
         return _unique_ids(path, read_numbered_pairs(fp))
@@ -169,7 +197,7 @@ def _cmd_preprocess(args) -> int:
 def _load_table(path: str | None) -> confusions.ConfusionTable:
     if path is None:
         return confusions.default_table()
-    with open(path, encoding="utf-8") as fp:
+    with _reading(path) as fp:
         return confusions.read_table(fp)
 
 
@@ -179,8 +207,8 @@ def _load_keyboard(path: str | None) -> KeyboardModel:
     return KeyboardModel(weights=load_keyboard_weights(path))
 
 
-# The noiser, and numpy with it, loads only for corrupt: _cmd_corrupt imports
-# it before a pool forks, so workers inherit it.
+# The noiser loads only for corrupt, so the other subcommands never import
+# it: _cmd_corrupt imports it before a pool forks, so workers inherit it.
 
 def _corrupt_one(sample, cfg, table, kbd):
     from . import noiser
@@ -237,7 +265,7 @@ def _cmd_evaluate(args) -> int:
             )
         hyps = [by_id[p.id] for p in gold]
     else:
-        with open(args.hypothesis, encoding="utf-8") as fp:
+        with _reading(args.hypothesis) as fp:
             hyps = [line.rstrip("\n") for line in fp]
         if len(hyps) != len(gold):
             raise CliError(
@@ -284,7 +312,7 @@ def _cmd_correct(args) -> int:
     if args.model and args.lm_corpus:
         raise CliError(E_CONFIG, "--model and --lm-corpus are mutually exclusive")
     if args.model:
-        with open(args.model, encoding="utf-8") as fp:
+        with _reading(args.model) as fp:
             model = corrector.load_model(fp)
     elif args.lm_corpus:
         model = corrector.build_unigram(_read_sample_file(args.lm_corpus, "auto"))
@@ -312,7 +340,7 @@ def _cmd_derive_stats(args) -> int:
     samples = _read_sample_file(args.input, args.format)
     patterns = None
     if args.patterns:
-        with open(args.patterns, encoding="utf-8") as fp:
+        with _reading(args.patterns) as fp:
             patterns = [line.strip() for line in fp if line.strip() and not line.startswith("#")]
     table = confusions.derive_confusion_stats(samples, patterns)
     with open(args.output, "w", encoding="utf-8") as fp:
@@ -464,7 +492,7 @@ def load_config(path: str, actions: dict[str, argparse.Action]) -> dict:
     reads its argument."""
     values: dict = {}
     try:
-        with open(path, encoding="utf-8") as fp:
+        with _reading(path) as fp:
             for lineno, raw in enumerate(fp, start=1):
                 line = raw.strip()
                 if not line or line.startswith("#"):

@@ -266,7 +266,9 @@ def read_numbered_samples(fp: TextIO) -> Iterator[tuple[int, TextSample]]:
             continue
         try:
             yield lineno, sample_from_json(line)
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        except KeyError as exc:
+            raise ValueError(f"bad sample record on line {lineno}: missing field {exc}") from exc
+        except (json.JSONDecodeError, TypeError) as exc:
             raise ValueError(f"bad sample record on line {lineno}: {exc}") from exc
 
 

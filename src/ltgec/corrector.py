@@ -8,6 +8,13 @@ functions that families.py defines for both. The channel does not mirror
 the corruption process fully: it has no gemination, assimilation or space
 routes, and it counts a casing site at every word start, where the noiser
 skips sentence starts.
+
+The speller scores only candidates that can win. A route c with channel
+weight q scores prior(c) + log(identity(c) * q), and identity(c) <= 1, so
+prior(c) + log(q) bounds its score from above. The observed word's exact
+score is the first best; a candidate whose bound falls strictly below the
+best so far can neither win nor tie, and is skipped without computing its
+identity probability. The output equals scoring every candidate.
 """
 
 from __future__ import annotations

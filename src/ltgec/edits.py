@@ -159,6 +159,14 @@ def pair_to_json(pair: ParallelPair) -> str:
     )
 
 
+def _category(value) -> ErrorCategory | None:
+    if not value:
+        return None
+    if value not in CATEGORY_BY_VALUE:
+        raise ValueError(f"unknown edit category {value!r}")
+    return CATEGORY_BY_VALUE[value]
+
+
 def _span_index(value) -> int:
     if isinstance(value, int) and not isinstance(value, bool):
         return value
@@ -170,7 +178,7 @@ def pair_from_json(line: str) -> ParallelPair:
     inside the source, and turn the source into the target."""
     record = json.loads(line)
     edits = tuple(
-        Edit(_span_index(s), _span_index(e), repl, CATEGORY_BY_VALUE[cat] if cat else None)
+        Edit(_span_index(s), _span_index(e), repl, _category(cat))
         for s, e, repl, cat in record["edits"]
     )
     pair = ParallelPair(record_id(record), record["source"], record["target"], edits)
@@ -188,7 +196,9 @@ def read_numbered_pairs(fp: TextIO) -> Iterator[tuple[int, ParallelPair]]:
             continue
         try:
             yield lineno, pair_from_json(line)
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        except KeyError as exc:
+            raise ValueError(f"bad pair record on line {lineno}: missing field {exc}") from exc
+        except (TypeError, ValueError) as exc:
             raise ValueError(f"bad pair record on line {lineno}: {exc}") from exc
 
 

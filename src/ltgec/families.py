@@ -2,8 +2,8 @@
 evaluator: the typo operations and their mix, the rate checks, the letter
 sets and the site functions that say where each family can strike.
 
-Nothing here draws random numbers, so importing it does not load numpy; the
-ops that draw on these sites live in noiser.py.
+Nothing here draws random numbers, so importing it does not load the noiser;
+the ops that draw on these sites live in noiser.py.
 """
 
 from __future__ import annotations

@@ -3,10 +3,11 @@
 Six error families run in a fixed order (typos, confusions, gemination,
 assimilation, casing, spaces), each driven by its own RNG stream derived from
 (seed, sample id, family index), so output is reproducible and independent of
-worker scheduling or which other families are enabled. Each family is one
-public op, corrupt_<family>, which corrupt calls with the edits of the
-families before it. A struck site that has options takes one of them by one
-more uniform draw on the same stream (_pick).
+worker scheduling or which other families are enabled. A stream is a
+standard-library random.Random seeded from a SHA-256 digest (stream version
+2). Each family is one public op, corrupt_<family>, which corrupt calls with
+the edits of the families before it. A struck site that has options takes
+one of them by one more uniform draw on the same stream (_pick).
 
 Gold edits are expressed in corrupted-text coordinates and canonicalized
 through the same alignment the evaluator uses, so scoring a hypothesis equal
@@ -14,7 +15,7 @@ to the reference yields exact precision/recall 1.0.
 
 The family definitions that draw nothing (typo operations and mix, rate
 checks, letter sets and site functions) live in families.py, so the
-corrector and the evaluator read them without loading numpy; this module
+corrector and the evaluator read them without loading this module; it
 imports them back under their old names.
 """
 
@@ -22,11 +23,11 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import random
 import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-
-import numpy as np
+from itertools import accumulate
 
 from .alignment import extract_edits
 from .confusions import ConfusionTable, default_table
@@ -67,12 +68,11 @@ class CorruptionConfig:
             raise ValueError(f"unsupported groups: {sorted(c.value for c in bad)}")
 
 
-def sample_rng(seed: int, sample_id: str, family_index: int) -> np.random.Generator:
-    """Per-(sample, family) RNG stream; stable across runs and worker counts."""
-    digest = hashlib.sha256(sample_id.encode("utf-8")).digest()
-    words = [int.from_bytes(digest[k:k + 8], "little") for k in range(0, 32, 8)]
-    entropy = [seed % (1 << 64), family_index, *words]
-    return np.random.default_rng(np.random.SeedSequence(entropy))
+def sample_rng(seed: int, sample_id: str, family_index: int) -> random.Random:
+    """Per-(sample, family) RNG stream; stable across runs, worker counts and
+    Python versions, which keep random() fixed for an int seed."""
+    digest = hashlib.sha256(f"{seed}:{family_index}:{sample_id}".encode()).digest()
+    return random.Random(int.from_bytes(digest, "little"))
 
 
 # ---------------------------------------------------------------------------
@@ -81,32 +81,30 @@ def sample_rng(seed: int, sample_id: str, family_index: int) -> np.random.Genera
 # fixed planning order, and apply_plans drops those that conflict. Each
 # returns the new text and the exact inverse edits, earlier ones shifted.
 
-def _strike(sites, rate: float, rng: np.random.Generator) -> list:
+def _strike(sites, rate: float, rng: random.Random) -> list:
     """The draw rule of every family: one uniform draw per site, in site
     order, and the sites whose draw falls below ``rate`` are struck."""
     if not sites or rate <= 0.0:
         return []
-    u = rng.random(len(sites))
-    return [site for site, x in zip(sites, u) if x < rate]
+    draw = rng.random
+    return [site for site in sites if draw() < rate]
 
 
 def _cumulative(weights) -> list[float]:
-    """The table that _pick draws an option through: the cumulative sum of
-    p = weights / sum(weights), divided by its last entry, exactly as
-    Generator.choice(len(p), p=p) builds it. Like choice, it refuses
-    negative or non-finite probabilities."""
-    w = np.asarray(weights, dtype=np.float64)
-    total = w.sum()
-    if not (0.0 < total < np.inf and (w >= 0).all()):
+    """The table that _pick draws an option through: the running sums of the
+    weights divided by their total, so it never falls and ends at 1.0. It
+    refuses negative, NaN or infinite weights and an all-zero total."""
+    w = [float(x) for x in weights]
+    sums = list(accumulate(w))
+    if not (sums and 0.0 < sums[-1] < float("inf") and all(x >= 0 for x in w)):
         raise ValueError(f"draw weights must be finite, non-negative and not all zero, "
-                         f"got {w.tolist()}")
-    c = (w / total).cumsum()
-    return (c / c[-1]).tolist()
+                         f"got {w}")
+    return [c / sums[-1] for c in sums]
 
 
-def _pick(cumulative: list[float], rng: np.random.Generator) -> int:
-    """The option a struck site takes: one uniform draw placed among the
-    cumulative weights, the draw Generator.choice makes."""
+def _pick(cumulative: list[float], rng: random.Random) -> int:
+    """The option a struck site takes: one uniform draw in [0, 1) placed
+    among the cumulative weights, so a zero weight is never taken."""
     return bisect_right(cumulative, rng.random())
 
 
@@ -114,7 +112,7 @@ _LINE_BREAKS = frozenset("\n\r")
 
 
 def corrupt_typos(text: str, cfg: CorruptionConfig, kbd: KeyboardModel,
-                  rng: np.random.Generator, edits=()) -> tuple[str, list[Edit]]:
+                  rng: random.Random, edits=()) -> tuple[str, list[Edit]]:
     """Each struck character draws an operation from cfg.typo_mix; a
     substitution or an insertion also draws the key typed."""
     n = len(text)
@@ -149,32 +147,32 @@ def corrupt_typos(text: str, cfg: CorruptionConfig, kbd: KeyboardModel,
 
 
 def corrupt_confusions(text: str, table: ConfusionTable, rate: float,
-                       rng: np.random.Generator, edits=()) -> tuple[str, list[Edit]]:
+                       rng: random.Random, edits=()) -> tuple[str, list[Edit]]:
     """Each struck site of a group takes one of the group's other variants,
     drawn by their counts."""
     plans: list[Edit] = []
-    variants: dict[tuple[str, str], tuple[list[str], list[float]]] = {}
     for g in table.groups:
+        variants: dict[str, tuple[list[str], list[float]]] = {}
         for m in _strike(g.sites(text), rate, rng):
-            key = (g.pattern, m.group())
-            if key not in variants:
-                options, counts = g.replacement_counts(m.group())
-                variants[key] = options, options and _cumulative(counts)
-            options, cumulative = variants[key]
+            surface = m.group()
+            if surface not in variants:
+                options, counts = g.replacement_counts(surface)
+                variants[surface] = options, options and _cumulative(counts)
+            options, cumulative = variants[surface]
             if options:
                 plans.append(Edit(m.start(), m.end(), options[_pick(cumulative, rng)],
                                   g.category))
     return apply_plans(text, edits, plans)
 
 
-def corrupt_gemination(text: str, rate: float, rng: np.random.Generator,
+def corrupt_gemination(text: str, rate: float, rng: random.Random,
                        edits=()) -> tuple[str, list[Edit]]:
     cat = ErrorCategory.ASSIMILATION_GEMINATION
     plans = [Edit(i, i + 1, "", cat) for i in _strike(gemination_sites(text), rate, rng)]
     return apply_plans(text, edits, plans)
 
 
-def corrupt_assimilation(text: str, rate: float, rng: np.random.Generator,
+def corrupt_assimilation(text: str, rate: float, rng: random.Random,
                          edits=()) -> tuple[str, list[Edit]]:
     plans: list[Edit] = []
     for i in _strike(assimilation_sites(text), rate, rng):
@@ -186,7 +184,7 @@ def corrupt_assimilation(text: str, rate: float, rng: np.random.Generator,
     return apply_plans(text, edits, plans)
 
 
-def corrupt_casing(text: str, rate: float, rng: np.random.Generator,
+def corrupt_casing(text: str, rate: float, rng: random.Random,
                    edits=()) -> tuple[str, list[Edit]]:
     cat = ErrorCategory.CASING
     plans = [Edit(i, i + 1, text[i].swapcase(), cat)
@@ -194,7 +192,7 @@ def corrupt_casing(text: str, rate: float, rng: np.random.Generator,
     return apply_plans(text, edits, plans)
 
 
-def corrupt_spaces(text: str, rate: float, rng: np.random.Generator,
+def corrupt_spaces(text: str, rate: float, rng: random.Random,
                    edits=()) -> tuple[str, list[Edit]]:
     dels, ins = space_sites(text)
     cat = ErrorCategory.SPACES
@@ -251,7 +249,7 @@ def corrupt(sample: TextSample, cfg: CorruptionConfig,
         enabled & {ErrorCategory.PUNCTUATION, ErrorCategory.SIMILAR_SOUNDING}
     ))
 
-    def stream(family_index: int) -> np.random.Generator:
+    def stream(family_index: int) -> random.Random:
         return sample_rng(cfg.seed, sample.id, family_index)
 
     text, raw = sample.text, []

@@ -398,11 +398,21 @@ class TestMalformedInputs:
         "json-array": b'["b", "abc", "abc", []]',
         "no-id": b'{"source": "abc", "target": "abc", "edits": []}',
         "no-source": b'{"id": "b", "target": "abc", "edits": []}',
+        "bad-category": b'{"id": "b", "source": "abc", "target": "abd", '
+                        b'"edits": [[2, 3, "d", "typo"]]}',
     }
     M2_BLOCKS = {
         "bad-utf8": b"S \xff\xfe\nA -1 -1|||noop|||-NONE-|||0\n",
         "span-past-end": b"S abc\nA 2 9|||other|||d|||0\n",
         "span-reversed": b"S abc\nA 2 1|||other|||d|||0\n",
+    }
+    # what the error line says, after "error E_INPUT: "; BAD is the bad file
+    SAID = {
+        "bad-utf8": "BAD:2: not UTF-8: byte 0xff at column 1",
+        "no-id": "bad {} record on line 2: missing field 'id'",
+        "no-text": "bad {} record on line 2: missing field 'text'",
+        "no-source": "bad {} record on line 2: missing field 'source'",
+        "bad-category": "bad {} record on line 2: unknown edit category 'typo'",
     }
 
     def run(self, argv, tmp_path, capsys, bad_name, bad_bytes):
@@ -418,26 +428,39 @@ class TestMalformedInputs:
         assert code == 1
         assert err.startswith("error E_") and err.count("\n") == 1
         assert "Traceback" not in err
+        return err.replace(str(bad), "BAD")
 
     @pytest.mark.parametrize("reader", sorted(SAMPLE_READERS))
     @pytest.mark.parametrize("line", sorted(SAMPLE_LINES))
     def test_bad_sample_line(self, reader, line, tmp_path, capsys):
         data = json.dumps(self.SAMPLE).encode() + b"\n" + self.SAMPLE_LINES[line] + b"\n"
-        self.run(self.SAMPLE_READERS[reader], tmp_path, capsys, "bad.jsonl", data)
+        err = self.run(self.SAMPLE_READERS[reader], tmp_path, capsys, "bad.jsonl", data)
+        if line in self.SAID:
+            assert err == f"error E_INPUT: {self.SAID[line].format('sample')}\n"
 
     @pytest.mark.parametrize("line", sorted(PAIR_LINES))
     def test_bad_jsonl_gold_line(self, line, tmp_path, capsys):
         data = json.dumps(self.PAIR).encode() + b"\n" + self.PAIR_LINES[line] + b"\n"
         (tmp_path / "hyp.txt").write_text("abd\nabc\n", encoding="utf-8")
-        self.run(["evaluate", "BAD", str(tmp_path / "hyp.txt")], tmp_path, capsys,
-                 "bad.jsonl", data)
+        err = self.run(["evaluate", "BAD", str(tmp_path / "hyp.txt")], tmp_path, capsys,
+                       "bad.jsonl", data)
+        if line in self.SAID:
+            assert err == f"error E_INPUT: {self.SAID[line].format('pair')}\n"
 
     @pytest.mark.parametrize("block", sorted(M2_BLOCKS))
     def test_bad_m2_gold(self, block, tmp_path, capsys):
         data = b"S abc\nA 2 3|||other|||d|||0\n\n" + self.M2_BLOCKS[block]
         (tmp_path / "hyp.txt").write_text("abd\nabc\n", encoding="utf-8")
-        self.run(["evaluate", "BAD", str(tmp_path / "hyp.txt")], tmp_path, capsys,
-                 "bad.m2", data)
+        err = self.run(["evaluate", "BAD", str(tmp_path / "hyp.txt")], tmp_path, capsys,
+                       "bad.m2", data)
+        if block == "bad-utf8":
+            assert err == "error E_INPUT: BAD:4: not UTF-8: byte 0xff at column 3\n"
+
+    def test_bad_utf8_in_plain_text_hypotheses(self, tmp_path, capsys):
+        (tmp_path / "gold.jsonl").write_text(json.dumps(self.PAIR) + "\n", encoding="utf-8")
+        err = self.run(["evaluate", "GOLD", "BAD"], tmp_path, capsys, "hyp.txt",
+                       b"ab\xc3d\n")
+        assert err == "error E_INPUT: BAD:1: not UTF-8: byte 0xc3 at column 3\n"
 
 
 class TestSampleIds:

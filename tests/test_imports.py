@@ -1,4 +1,4 @@
-"""numpy loads only with the noiser, which alone draws RNG streams.
+"""No path loads numpy, and the noiser loads only for corrupt.
 
 Each check runs in a fresh interpreter, because this suite's conftest
 imports numpy itself.
@@ -45,18 +45,38 @@ runs = [
 ]
 codes = [main([str(a) for a in argv]) for argv in runs]
 print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules,
+                  "noiser": "ltgec.noiser" in sys.modules,
                   "multiprocessing": "multiprocessing" in sys.modules}))
+"""
+
+CORRUPT = r"""
+import json, sys
+from pathlib import Path
+
+from ltgec import CorruptionConfig, TextSample, corrupt, corrupt_rule_errors
+from ltgec.cli import main
+
+d = Path(sys.argv[1])
+sample = TextSample("0", "Vakar bare „Oscar“ grojo gera muzika.")
+corrupt(sample, CorruptionConfig(seed=1, typo_rate=0.3))
+corrupt_rule_errors(sample, rate=0.5)
+with open(d / "clean.jsonl", "w", encoding="utf-8") as fp:
+    fp.write(json.dumps({"id": "0", "text": sample.text}, ensure_ascii=False) + "\n")
+codes = [main(["corrupt", str(d / "clean.jsonl"), str(d / name), "--seed", "3", *extra])
+         for name, extra in (("pairs.jsonl", []), ("pairs.m2", []),
+                             ("rules.jsonl", ["--rule-errors"]))]
+print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules}))
 """
 
 PACKAGE_NAMES = r"""
 import json, sys
 import ltgec
 
-before = "numpy" in sys.modules
+before = "ltgec.noiser" in sys.modules
 from ltgec import corrupt
-after = "numpy" in sys.modules
+after = "ltgec.noiser" in sys.modules
 print(json.dumps({
-    "before": before, "after": after,
+    "before": before, "after": after, "numpy": "numpy" in sys.modules,
     "unresolved": [n for n in ltgec.__all__ if getattr(ltgec, n, None) is None],
     "undir": sorted(set(ltgec.__all__) - set(dir(ltgec))),
 }))
@@ -74,9 +94,16 @@ def run_fresh(code: str, *args) -> dict:
 
 def test_pipeline_without_corrupt_leaves_numpy_unloaded(tmp_path):
     seen = run_fresh(PIPELINE_WITHOUT_CORRUPT, tmp_path)
-    assert seen == {"codes": [0] * 5, "numpy": False, "multiprocessing": False}
+    assert seen == {"codes": [0] * 5, "numpy": False, "noiser": False,
+                    "multiprocessing": False}
 
 
-def test_package_names_resolve_and_corrupt_loads_numpy():
+def test_corrupt_leaves_numpy_unloaded(tmp_path):
+    seen = run_fresh(CORRUPT, tmp_path)
+    assert seen == {"codes": [0] * 3, "numpy": False}
+
+
+def test_package_names_resolve_and_corrupt_loads_the_noiser():
     seen = run_fresh(PACKAGE_NAMES)
-    assert seen == {"before": False, "after": True, "unresolved": [], "undir": []}
+    assert seen == {"before": False, "after": True, "numpy": False,
+                    "unresolved": [], "undir": []}

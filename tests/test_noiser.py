@@ -1,4 +1,6 @@
-import numpy as np
+import random
+from collections import Counter
+
 import pytest
 
 from ltgec.confusions import ConfusionGroup, ConfusionTable, default_table
@@ -29,7 +31,7 @@ ALWAYS = 1.0
 
 
 def rng(seed=0):
-    return np.random.default_rng(seed)
+    return random.Random(seed)
 
 
 class TestConfig:
@@ -54,34 +56,55 @@ class TestConfig:
 
 class TestSampleRng:
     def test_deterministic(self):
-        a = sample_rng(7, "sample-1", 0).random(4)
-        b = sample_rng(7, "sample-1", 0).random(4)
-        assert np.array_equal(a, b)
+        a = sample_rng(7, "sample-1", 0)
+        b = sample_rng(7, "sample-1", 0)
+        assert isinstance(a, random.Random)
+        assert [a.random() for _ in range(4)] == [b.random() for _ in range(4)]
 
     def test_streams_differ_by_family_and_id(self):
-        base = sample_rng(7, "sample-1", 0).random(4)
-        assert not np.array_equal(base, sample_rng(7, "sample-1", 1).random(4))
-        assert not np.array_equal(base, sample_rng(7, "sample-2", 0).random(4))
-        assert not np.array_equal(base, sample_rng(8, "sample-1", 0).random(4))
+        def first(*key):
+            stream = sample_rng(*key)
+            return [stream.random() for _ in range(4)]
+
+        base = first(7, "sample-1", 0)
+        assert base != first(7, "sample-1", 1)
+        assert base != first(7, "sample-2", 0)
+        assert base != first(8, "sample-1", 0)
+        # the fields cannot run into each other: "1:2" is no "12"
+        assert first(1, "2:x", 0) != first(1, "x", 2)
 
 
 class TestDraws:
-    def test_pick_draws_as_generator_choice(self):
-        # rng.choice is the oracle: twin generators draw through it and
-        # through _pick, over p of every length from 1 to 20 (from 8 on, the
-        # normalisation sums pairwise), with zero weights and wide scales
-        weights_rng = rng(2024)
-        for case in range(200):
-            k = case % 20 + 1
-            w = weights_rng.random(k) * 10.0 ** weights_rng.integers(-3, 7)
-            w[weights_rng.random(k) < 0.25] = 0.0
-            if not w.any():
-                w[-1] = 1.0
-            cumulative = _cumulative(w)
-            oracle, twin = rng(case), rng(case)
-            expected = [int(oracle.choice(k, p=w / w.sum())) for _ in range(200)]
-            assert [_pick(cumulative, twin) for _ in range(200)] == expected
-            assert oracle.random() == twin.random()  # one uniform per draw
+    @pytest.mark.parametrize("weights", [
+        [1.0],
+        [0.0, 3.0, 0.0, 1e-300],
+        [1e6, 1e-3, 5.0, 0.0, 7.0],
+        [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13],
+        [0.1] * 10,
+    ])
+    def test_table_never_falls_and_ends_at_one(self, weights):
+        cumulative = _cumulative(weights)
+        assert len(cumulative) == len(weights)
+        assert all(a <= b for a, b in zip(cumulative, cumulative[1:]))
+        assert cumulative[-1] == 1.0
+
+    def test_pick_frequencies_follow_weights(self):
+        weights = [5, 0, 1, 3, 0, 1]
+        cumulative, stream = _cumulative(weights), rng(11)
+        n = 40_000
+        seen = Counter(_pick(cumulative, stream) for _ in range(n))
+        assert seen[1] == seen[4] == 0  # a zero weight is never taken
+        for k, w in enumerate(weights):
+            p = w / sum(weights)
+            # within 5 standard deviations of the expected count
+            assert abs(seen[k] - n * p) <= 5 * (n * p * (1 - p)) ** 0.5
+
+    def test_pick_draws_one_uniform(self):
+        picked, twin = rng(3), rng(3)
+        cumulative = _cumulative([1, 2, 3])
+        for _ in range(50):
+            u = twin.random()
+            assert _pick(cumulative, picked) == sum(c <= u for c in cumulative)
 
     @pytest.mark.parametrize("weights", [
         [0.5, -0.5, 1.0],
@@ -266,6 +289,14 @@ class TestConfusions:
     def test_rate_zero_identity(self):
         text, edits = corrupt_confusions("graži", default_table(), 0.0, rng())
         assert (text, edits) == ("graži", [])
+
+
+    def test_groups_with_one_pattern_keep_their_own_options(self):
+        table = ConfusionTable((ConfusionGroup("[ab]", (("a", 1),)),
+                                ConfusionGroup("[ab]", (("a", 1), ("c", 1)))))
+        text, edits = corrupt_confusions("a a a", table, ALWAYS, rng())
+        assert text == "c c c"
+        assert apply_edits(text, edits) == "a a a"
 
 
 class TestCorrupt:
