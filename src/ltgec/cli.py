@@ -204,7 +204,8 @@ def _load_table(path: str | None) -> confusions.ConfusionTable:
 def _load_keyboard(path: str | None) -> KeyboardModel:
     if path is None:
         return default_keyboard()
-    return KeyboardModel(weights=load_keyboard_weights(path))
+    with _reading(path):  # load_keyboard_weights opens the file itself
+        return KeyboardModel(weights=load_keyboard_weights(path))
 
 
 # The noiser loads only for corrupt, so the other subcommands never import

@@ -456,6 +456,11 @@ class TestMalformedInputs:
         if block == "bad-utf8":
             assert err == "error E_INPUT: BAD:4: not UTF-8: byte 0xff at column 3\n"
 
+    def test_bad_utf8_in_keyboard_weights(self, tmp_path, capsys):
+        err = self.run(["corrupt", "GOOD", "OUT", "--seed", "1", "--keyboard-weights", "BAD"],
+                       tmp_path, capsys, "kb.tsv", b"a s 1.0\n\xff b 1\n")
+        assert err == "error E_INPUT: BAD:2: not UTF-8: byte 0xff at column 1\n"
+
     def test_bad_utf8_in_plain_text_hypotheses(self, tmp_path, capsys):
         (tmp_path / "gold.jsonl").write_text(json.dumps(self.PAIR) + "\n", encoding="utf-8")
         err = self.run(["evaluate", "GOLD", "BAD"], tmp_path, capsys, "hyp.txt",

@@ -70,8 +70,9 @@ class TestSampleRng:
         assert base != first(7, "sample-1", 1)
         assert base != first(7, "sample-2", 0)
         assert base != first(8, "sample-1", 0)
-        # the fields cannot run into each other: "1:2" is no "12"
-        assert first(1, "2:x", 0) != first(1, "x", 2)
+        # the separators keep the fields apart: run together, seed 1,
+        # family 2, id "3" and seed 12, family 3, id "" would both read "123"
+        assert first(1, "3", 2) != first(12, "", 3)
 
 
 class TestDraws:
