@@ -1,8 +1,6 @@
 """Corpus engineering toolkit for Lithuanian grammatical error correction.
 
-The noiser's names resolve on first use (PEP 562), so ``import ltgec`` and
-every subcommand but ``corrupt`` run without loading the noiser. No module
-of the package needs numpy or any other third-party package.
+No module of the package needs numpy or any other third-party package.
 """
 
 from .alignment import AlignmentScript, AlignOp, align, extract_edits, replay
@@ -42,6 +40,17 @@ from .edits import Edit, ErrorCategory, ParallelPair, apply_edits, read_pairs, w
 from .evaluator import EvalReport, classify_edit, f_beta, score
 from .keyboard import KeyboardModel, default_keyboard, load_keyboard_weights
 from .m2 import read_m2, write_m2
+from .noiser import (
+    CorruptionConfig,
+    corrupt,
+    corrupt_assimilation,
+    corrupt_casing,
+    corrupt_confusions,
+    corrupt_gemination,
+    corrupt_rule_errors,
+    corrupt_spaces,
+    corrupt_typos,
+)
 from .tokenstats import (
     EmptyCorpusError,
     TokenStatsReport,
@@ -52,33 +61,6 @@ from .tokenstats import (
 )
 
 __version__ = "0.1.0"
-
-_NOISER_NAMES = frozenset({
-    "CorruptionConfig",
-    "corrupt",
-    "corrupt_assimilation",
-    "corrupt_casing",
-    "corrupt_confusions",
-    "corrupt_gemination",
-    "corrupt_rule_errors",
-    "corrupt_spaces",
-    "corrupt_typos",
-})
-
-
-def __getattr__(name: str):
-    if name in _NOISER_NAMES:
-        from . import noiser
-
-        value = getattr(noiser, name)
-        globals()[name] = value
-        return value
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | _NOISER_NAMES)
-
 
 __all__ = [
     "AlignOp",

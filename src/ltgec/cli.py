@@ -11,14 +11,15 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import json
+import os
 import re
+import stat
 import sys
 from pathlib import Path
 from typing import Iterable
 
-from . import confusions, corpus, corrector, evaluator, m2, tokenstats
-from .edits import CATEGORY_BY_VALUE, ErrorCategory, ParallelPair, read_numbered_pairs, write_pairs
+from . import confusions, corpus, corrector, evaluator, m2, noiser, tokenstats
+from .edits import CATEGORY_BY_VALUE, ErrorCategory, ParallelPair, pair_from_json, write_pairs
 from .families import ALL_GROUPS, check_rate
 from .keyboard import KeyboardModel, default_keyboard, load_keyboard_weights
 
@@ -63,6 +64,22 @@ def _not_utf8(path: str, exc: UnicodeDecodeError) -> str:
     return f"{path}: not UTF-8: {exc.reason}"
 
 
+@contextlib.contextmanager
+def _writing(path: str):
+    """Open an output as UTF-8 text. If the block fails, the half-written
+    output is removed, but only if it is a regular file: a symlink, a device
+    or /dev/stdout stays."""
+    fp = open(path, "w", encoding="utf-8")
+    try:
+        with fp:
+            yield fp
+    except BaseException:
+        with contextlib.suppress(OSError):
+            if stat.S_ISREG(os.lstat(path).st_mode):
+                os.remove(path)
+        raise
+
+
 def _detect_format(path: str, fmt: str) -> str:
     if fmt != "auto":
         return fmt
@@ -96,7 +113,7 @@ def _read_keyed_samples(path: str, fmt: str) -> list[corpus.TextSample]:
     if _detect_format(path, fmt) != "jsonl":
         return _read_sample_file(path, fmt)
     with _reading(path) as fp:
-        return _unique_ids(path, corpus.read_numbered_samples(fp))
+        return _unique_ids(path, corpus.read_numbered(fp, corpus.sample_from_json, "sample"))
 
 
 def _read_pair_file(path: str) -> list[ParallelPair]:
@@ -105,7 +122,7 @@ def _read_pair_file(path: str) -> list[ParallelPair]:
     with _reading(path) as fp:
         if path.endswith(".m2"):
             return list(m2.read_m2(fp))
-        return _unique_ids(path, read_numbered_pairs(fp))
+        return _unique_ids(path, corpus.read_numbered(fp, pair_from_json, "pair"))
 
 
 def _parse_groups(raw: str) -> frozenset[ErrorCategory]:
@@ -183,7 +200,7 @@ def _cmd_preprocess(args) -> int:
         else:
             out.append(sample)
 
-    with open(args.output, "w", encoding="utf-8") as fp:
+    with _writing(args.output) as fp:
         written = corpus.write_samples(out, fp)
 
     print(f"read {len(samples)} samples, wrote {written}")
@@ -208,28 +225,15 @@ def _load_keyboard(path: str | None) -> KeyboardModel:
         return KeyboardModel(weights=load_keyboard_weights(path))
 
 
-# The noiser loads only for corrupt, so the other subcommands never import
-# it: _cmd_corrupt imports it before a pool forks, so workers inherit it.
-
 def _corrupt_one(sample, cfg, table, kbd):
-    from . import noiser
-
     return noiser.corrupt(sample, cfg, table, kbd)
 
 
-def _corrupt_rule_one(sample, rate, seed):
-    from . import noiser
-
-    return noiser.corrupt_rule_errors(sample, rate=rate, seed=seed)
-
-
 def _cmd_corrupt(args) -> int:
-    from . import noiser
-
     samples = _read_keyed_samples(args.input, args.format)
     if args.rule_errors:
         check_rate("--rate", args.rate)
-        worker = functools.partial(_corrupt_rule_one, rate=args.rate, seed=args.seed)
+        worker = functools.partial(noiser.corrupt_rule_errors, rate=args.rate, seed=args.seed)
     else:
         cfg = noiser.CorruptionConfig(
             typo_rate=args.typo_rate,
@@ -244,7 +248,7 @@ def _cmd_corrupt(args) -> int:
             kbd=_load_keyboard(args.keyboard_weights),
         )
     pairs = _map_jobs(worker, samples, args.jobs)
-    with open(args.output, "w", encoding="utf-8") as fp:
+    with _writing(args.output) as fp:
         if args.output.endswith(".m2"):
             written = m2.write_m2(pairs, fp)
         else:
@@ -276,7 +280,7 @@ def _cmd_evaluate(args) -> int:
     report = evaluator.score(gold, hyps, beta=args.beta)
     print(report.render())
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as fp:
+        with _writing(args.json) as fp:
             fp.write(report.to_json() + "\n")
     return 0
 
@@ -293,7 +297,7 @@ def _cmd_stats(args) -> int:
     reports = [tokenstats.compute_stats(texts, name) for name in names]
     print(tokenstats.render_reports(reports))
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as fp:
+        with _writing(args.json) as fp:
             fp.write(tokenstats.reports_to_json(reports) + "\n")
     return 0
 
@@ -320,7 +324,7 @@ def _cmd_correct(args) -> int:
     if args.save_model:
         if model is None:
             raise CliError(E_CONFIG, "--save-model needs --model or --lm-corpus")
-        with open(args.save_model, "w", encoding="utf-8") as fp:
+        with _writing(args.save_model) as fp:
             corrector.save_model(model, fp)
     if model is None:
         worker = _correct_rules_one
@@ -331,20 +335,34 @@ def _cmd_correct(args) -> int:
             kbd=_load_keyboard(args.keyboard_weights),
         )
     corrected = _map_jobs(worker, samples, args.jobs)
-    with open(args.output, "w", encoding="utf-8") as fp:
+    with _writing(args.output) as fp:
         written = corpus.write_samples(corrected, fp)
     print(f"corrected {written} samples")
     return 0
 
 
+def _read_patterns(path: str) -> list[str]:
+    """One regex per line; blank lines and lines starting with # are skipped."""
+    patterns = []
+    with _reading(path) as fp:
+        for lineno, line in enumerate(fp, 1):
+            pattern = line.strip()
+            if not pattern or line.startswith("#"):
+                continue
+            try:
+                re.compile(pattern)
+            except re.error as exc:
+                raise CliError(E_INPUT,
+                               f"{path}:{lineno}: bad pattern {pattern!r}: {exc}") from None
+            patterns.append(pattern)
+    return patterns
+
+
 def _cmd_derive_stats(args) -> int:
     samples = _read_sample_file(args.input, args.format)
-    patterns = None
-    if args.patterns:
-        with _reading(args.patterns) as fp:
-            patterns = [line.strip() for line in fp if line.strip() and not line.startswith("#")]
+    patterns = _read_patterns(args.patterns) if args.patterns else None
     table = confusions.derive_confusion_stats(samples, patterns)
-    with open(args.output, "w", encoding="utf-8") as fp:
+    with _writing(args.output) as fp:
         confusions.write_table(table, fp)
     print(f"derived {len(table.groups)} confusion groups from {len(samples)} samples")
     return 0

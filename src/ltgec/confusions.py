@@ -105,7 +105,8 @@ def derive_confusion_stats(
     samples: Iterable[TextSample | str],
     patterns: Sequence[str] | None = None,
 ) -> ConfusionTable:
-    """Count leftmost non-overlapping matches of each pattern over a corpus.
+    """Count the sites of each pattern over a corpus: its leftmost
+    non-overlapping non-empty matches, as ConfusionGroup.sites finds them.
 
     Returns a table whose variants are the observed surfaces with their
     counts, ordered by descending count. Patterns default to the shipped
@@ -114,13 +115,12 @@ def derive_confusion_stats(
     """
     if patterns is None:
         patterns = [p for p, _, _ in _DEFAULT_GROUPS]
-    regexes = [_compile(p) for p in patterns]
+    sites = [ConfusionGroup(p, ()).sites for p in patterns]
     counters: list[Counter] = [Counter() for _ in patterns]
     for sample in samples:
         text = sample.text if isinstance(sample, TextSample) else sample
-        for regex, counter in zip(regexes, counters):
-            for m in regex.finditer(text):
-                counter[m.group()] += 1
+        for group_sites, counter in zip(sites, counters):
+            counter.update(m.group() for m in group_sites(text))
     groups = []
     for pattern, counter in zip(patterns, counters):
         category = _P if pattern in _PUNCTUATION_PATTERNS else _S

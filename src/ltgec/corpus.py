@@ -11,8 +11,8 @@ import json
 import math
 import re
 import string
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, TextIO
+from dataclasses import dataclass
+from typing import Callable, Iterable, Iterator, TextIO
 
 
 @dataclass(frozen=True, slots=True)
@@ -258,22 +258,25 @@ def sample_from_json(line: str) -> TextSample:
     return TextSample(record_id(record), text, source)
 
 
-def read_numbered_samples(fp: TextIO) -> Iterator[tuple[int, TextSample]]:
-    """JSONL samples, each with the number of the line it was read from."""
+def read_numbered(fp: TextIO, parse: Callable[[str], object],
+                  what: str) -> Iterator[tuple[int, object]]:
+    """JSONL records read by ``parse``, each with the number of the line it
+    was read from; blank lines are skipped. A record ``parse`` rejects is a
+    ValueError that names ``what`` and the line."""
     for lineno, line in enumerate(fp, 1):
         line = line.strip()
         if not line:
             continue
         try:
-            yield lineno, sample_from_json(line)
+            yield lineno, parse(line)
         except KeyError as exc:
-            raise ValueError(f"bad sample record on line {lineno}: missing field {exc}") from exc
-        except (json.JSONDecodeError, TypeError) as exc:
-            raise ValueError(f"bad sample record on line {lineno}: {exc}") from exc
+            raise ValueError(f"bad {what} record on line {lineno}: missing field {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"bad {what} record on line {lineno}: {exc}") from exc
 
 
 def read_samples(fp: TextIO) -> Iterator[TextSample]:
-    return (sample for _, sample in read_numbered_samples(fp))
+    return (sample for _, sample in read_numbered(fp, sample_from_json, "sample"))
 
 
 def write_samples(samples: Iterable[TextSample], fp: TextIO) -> int:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Sequence, TextIO
 
-from .corpus import record_id
+from .corpus import read_numbered, record_id
 
 
 class ErrorCategory(Enum):
@@ -188,22 +188,8 @@ def pair_from_json(line: str) -> ParallelPair:
     return pair
 
 
-def read_numbered_pairs(fp: TextIO) -> Iterator[tuple[int, ParallelPair]]:
-    """JSONL pairs, each with the number of the line it was read from."""
-    for lineno, line in enumerate(fp, 1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            yield lineno, pair_from_json(line)
-        except KeyError as exc:
-            raise ValueError(f"bad pair record on line {lineno}: missing field {exc}") from exc
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"bad pair record on line {lineno}: {exc}") from exc
-
-
 def read_pairs(fp: TextIO) -> Iterator[ParallelPair]:
-    return (pair for _, pair in read_numbered_pairs(fp))
+    return (pair for _, pair in read_numbered(fp, pair_from_json, "pair"))
 
 
 def write_pairs(pairs: Iterable[ParallelPair], fp: TextIO) -> int:

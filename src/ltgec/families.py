@@ -2,8 +2,10 @@
 evaluator: the typo operations and their mix, the rate checks, the letter
 sets and the site functions that say where each family can strike.
 
-Nothing here draws random numbers, so importing it does not load the noiser;
-the ops that draw on these sites live in noiser.py.
+Nothing here draws random numbers; the ops that draw on these sites live
+in noiser.py. The module stands apart from the noiser because the corrector
+and the evaluator read it, and it is where one table of whole family
+definitions (sites, op, inverse routes, shape) would go.
 """
 
 from __future__ import annotations

@@ -14,9 +14,8 @@ through the same alignment the evaluator uses, so scoring a hypothesis equal
 to the reference yields exact precision/recall 1.0.
 
 The family definitions that draw nothing (typo operations and mix, rate
-checks, letter sets and site functions) live in families.py, so the
-corrector and the evaluator read them without loading this module; it
-imports them back under their old names.
+checks, letter sets and site functions) live in families.py, which the
+corrector and the evaluator read too.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ from .families import (
     DEFAULT_TYPO_MIX,
     DELETION,
     INSERTION,
-    SUBSTITUTION,
     TRANSPOSITION,
     TYPO_OPS,
     VOICING_SWAP,

@@ -18,15 +18,19 @@ from ltgec.corrector import rule_correct
 from ltgec.edits import ErrorCategory, apply_edits, read_pairs
 from ltgec.evaluator import classify_edit, score
 from ltgec.keyboard import default_keyboard
-from ltgec.noiser import (
+from ltgec.families import (
     DEFAULT_TYPO_MIX,
     DELETION,
     INSERTION,
     SUBSTITUTION,
     TRANSPOSITION,
-    CorruptionConfig,
     assimilation_sites,
     casing_sites,
+    gemination_sites,
+    space_sites,
+)
+from ltgec.noiser import (
+    CorruptionConfig,
     corrupt,
     corrupt_assimilation,
     corrupt_casing,
@@ -35,9 +39,7 @@ from ltgec.noiser import (
     corrupt_rule_errors,
     corrupt_spaces,
     corrupt_typos,
-    gemination_sites,
     sample_rng,
-    space_sites,
 )
 from ltgec.tokenstats import compute_stats
 

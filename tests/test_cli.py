@@ -143,6 +143,30 @@ class TestCorrupt:
         assert err.startswith("error E_INPUT: --rate must be in [0, 1]")
         assert err.count("\n") == 1
 
+    @pytest.fixture
+    def multiline_file(self, tmp_path):
+        """Two samples, the second of which M2 cannot hold."""
+        path = tmp_path / "in.jsonl"
+        write_corpus(path, [TextSample("a", "Geras sakinys apie orą."),
+                            TextSample("b", "Pirma eilutė.\nAntra eilutė.")])
+        return path
+
+    def test_failed_write_leaves_no_output(self, multiline_file, tmp_path, capsys):
+        out = tmp_path / "out.m2"
+        assert main(["corrupt", str(multiline_file), str(out), "--seed", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error E_INPUT: pair b:") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_failed_write_keeps_a_symlinked_output(self, multiline_file, tmp_path, capsys):
+        target = tmp_path / "target.txt"
+        target.write_text("old\n", encoding="utf-8")
+        link = tmp_path / "out.m2"
+        link.symlink_to(target)
+        assert main(["corrupt", str(multiline_file), str(link), "--seed", "1"]) == 1
+        assert capsys.readouterr().err.startswith("error E_INPUT: pair b:")
+        assert link.is_symlink() and target.is_file()
+
     def test_jobs_do_not_change_output(self, corpus_file, tmp_path):
         one = tmp_path / "one.jsonl"
         four = tmp_path / "four.jsonl"
@@ -605,6 +629,29 @@ class TestDeriveStats:
         (zgroup,) = [g for g in table.groups if g.pattern == "[zž]"]
         assert dict(zgroup.variants)["ž"] == 2
         assert dict(zgroup.variants)["z"] == 1
+
+    def test_bad_pattern_is_one_input_error(self, tmp_path, capsys):
+        inp = tmp_path / "in.jsonl"
+        out = tmp_path / "table.txt"
+        patterns = tmp_path / "patterns.txt"
+        write_corpus(inp, [TextSample("0", "graži žalia giria")])
+        patterns.write_text("[zž]\n# a comment\n[ab\n", encoding="utf-8")
+        assert main(["derive-stats", str(inp), str(out), "--patterns", str(patterns)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error E_INPUT: {patterns}:3: bad pattern '[ab': ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not out.exists()
+
+    def test_empty_matches_are_not_counted(self, tmp_path):
+        inp = tmp_path / "in.jsonl"
+        out = tmp_path / "table.txt"
+        patterns = tmp_path / "patterns.txt"
+        write_corpus(inp, [TextSample("0", "banana a")])
+        patterns.write_text("a*\n", encoding="utf-8")
+        assert main(["derive-stats", str(inp), str(out), "--patterns", str(patterns)]) == 0
+        with open(out, encoding="utf-8") as fp:
+            (group,) = read_table(fp).groups
+        assert group.variants == (("a", 4),)
 
     def test_default_patterns(self, tmp_path):
         inp = tmp_path / "in.jsonl"

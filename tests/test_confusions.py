@@ -1,4 +1,5 @@
 import io
+from collections import Counter
 
 import pytest
 
@@ -86,6 +87,20 @@ class TestDeriveStats:
         table = derive_confusion_stats(["aaa ą"], patterns=["[aą]"])
         counts = [c for _, c in table.groups[0].variants]
         assert counts == sorted(counts, reverse=True)
+
+    def test_empty_matches_are_not_counted(self):
+        table = derive_confusion_stats(["banana a"], patterns=["a*"])
+        assert dict(table.groups[0].variants) == {"a": 4}
+
+    def test_default_patterns_never_match_empty(self, paragraphs, corpus_factory):
+        """Counting sites leaves the default table's counts as every match
+        would give them, because no default pattern matches the empty string."""
+        texts = list(paragraphs) + [s.text for s in corpus_factory(50, seed=2)]
+        derived = derive_confusion_stats(texts)
+        for group in derived.groups:
+            every_match = Counter(m.group() for t in texts for m in group.regex.finditer(t))
+            assert "" not in every_match, group.pattern
+            assert dict(group.variants) == every_match, group.pattern
 
 
 class TestTableIO:

@@ -1,7 +1,8 @@
-"""No path loads numpy, and the noiser loads only for corrupt.
+"""No path loads numpy, --jobs 1 starts no pool, and the package's names
+are plain module attributes.
 
-Each check runs in a fresh interpreter, because this suite's conftest
-imports numpy itself.
+The numpy and pool checks run in a fresh interpreter, because this suite's
+conftest imports numpy itself.
 """
 
 import json
@@ -45,7 +46,6 @@ runs = [
 ]
 codes = [main([str(a) for a in argv]) for argv in runs]
 print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules,
-                  "noiser": "ltgec.noiser" in sys.modules,
                   "multiprocessing": "multiprocessing" in sys.modules}))
 """
 
@@ -68,20 +68,6 @@ codes = [main(["corrupt", str(d / "clean.jsonl"), str(d / name), "--seed", "3", 
 print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules}))
 """
 
-PACKAGE_NAMES = r"""
-import json, sys
-import ltgec
-
-before = "ltgec.noiser" in sys.modules
-from ltgec import corrupt
-after = "ltgec.noiser" in sys.modules
-print(json.dumps({
-    "before": before, "after": after, "numpy": "numpy" in sys.modules,
-    "unresolved": [n for n in ltgec.__all__ if getattr(ltgec, n, None) is None],
-    "undir": sorted(set(ltgec.__all__) - set(dir(ltgec))),
-}))
-"""
-
 
 def run_fresh(code: str, *args) -> dict:
     env = dict(os.environ)
@@ -94,8 +80,7 @@ def run_fresh(code: str, *args) -> dict:
 
 def test_pipeline_without_corrupt_leaves_numpy_unloaded(tmp_path):
     seen = run_fresh(PIPELINE_WITHOUT_CORRUPT, tmp_path)
-    assert seen == {"codes": [0] * 5, "numpy": False, "noiser": False,
-                    "multiprocessing": False}
+    assert seen == {"codes": [0] * 5, "numpy": False, "multiprocessing": False}
 
 
 def test_corrupt_leaves_numpy_unloaded(tmp_path):
@@ -103,7 +88,7 @@ def test_corrupt_leaves_numpy_unloaded(tmp_path):
     assert seen == {"codes": [0] * 3, "numpy": False}
 
 
-def test_package_names_resolve_and_corrupt_loads_the_noiser():
-    seen = run_fresh(PACKAGE_NAMES)
-    assert seen == {"before": False, "after": True, "numpy": False,
-                    "unresolved": [], "undir": []}
+def test_package_names_are_plain_attributes():
+    names = vars(ltgec)
+    assert [n for n in ltgec.__all__ if n not in names] == []
+    assert "__getattr__" not in names

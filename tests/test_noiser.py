@@ -8,11 +8,15 @@ from ltgec.corpus import TextSample, preprocess
 from ltgec.corrector import rule_correct
 from ltgec.edits import ErrorCategory, apply_edits
 from ltgec.keyboard import KeyboardModel, default_keyboard, load_keyboard_weights
-from ltgec.noiser import (
+from ltgec.families import (
     ALL_GROUPS,
-    CorruptionConfig,
     assimilation_sites,
     casing_sites,
+    gemination_sites,
+    space_sites,
+)
+from ltgec.noiser import (
+    CorruptionConfig,
     corrupt,
     corrupt_assimilation,
     corrupt_casing,
@@ -21,9 +25,7 @@ from ltgec.noiser import (
     corrupt_rule_errors,
     corrupt_spaces,
     corrupt_typos,
-    gemination_sites,
     sample_rng,
-    space_sites,
 )
 from ltgec.noiser import _cumulative, _pick
 
