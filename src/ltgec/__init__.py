@@ -28,6 +28,7 @@ from .corpus import (
 )
 from .corrector import (
     ChannelModel,
+    Speller,
     UnigramModel,
     build_unigram,
     candidates,
@@ -77,6 +78,7 @@ __all__ = [
     "FilterVerdict",
     "KeyboardModel",
     "ParallelPair",
+    "Speller",
     "TextSample",
     "TokenStatsReport",
     "UnigramModel",

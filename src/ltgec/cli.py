@@ -139,16 +139,21 @@ def _parse_groups(raw: str) -> frozenset[ErrorCategory]:
     return frozenset(groups)
 
 
-def _map_jobs(fn, items: list, jobs: int) -> Iterable:
+def _map_jobs(fn, items: list, jobs: int, initializer=None, initargs=()) -> Iterable:
+    """``fn`` over the items in order, in ``jobs`` processes. Each process
+    runs ``initializer(*initargs)`` once before its first item; it must not
+    raise, or the pool would restart its workers forever."""
     if jobs < 1:
         raise CliError(E_INPUT, f"--jobs must be a positive integer, got {jobs!r}")
     if jobs == 1:
+        if initializer is not None:
+            initializer(*initargs)
         return map(fn, items)
 
     def run():
         import multiprocessing
 
-        with multiprocessing.Pool(jobs) as pool:
+        with multiprocessing.Pool(jobs, initializer, initargs) as pool:
             yield from pool.imap(fn, items, chunksize=16)
 
     return run()
@@ -306,9 +311,18 @@ def _correct_rules_one(sample):
     return corpus.TextSample(sample.id, corrector.rule_correct(sample.text), sample.source)
 
 
-def _correct_noisy_one(sample, model, table, kbd):
-    fixed = corrector.noisy_channel_correct(sample.text, model, table=table, kbd=kbd)
-    return corpus.TextSample(sample.id, fixed, sample.source)
+# This process's speller: set once per worker by _use_speller, so its tables
+# and word memo live across every chunk the worker corrects.
+_speller: corrector.Speller | None = None
+
+
+def _use_speller(speller: corrector.Speller) -> None:
+    global _speller
+    _speller = speller
+
+
+def _correct_noisy_one(sample):
+    return corpus.TextSample(sample.id, _speller.correct(sample.text), sample.source)
 
 
 def _cmd_correct(args) -> int:
@@ -327,14 +341,12 @@ def _cmd_correct(args) -> int:
         with _writing(args.save_model) as fp:
             corrector.save_model(model, fp)
     if model is None:
-        worker = _correct_rules_one
+        corrected = _map_jobs(_correct_rules_one, samples, args.jobs)
     else:
-        worker = functools.partial(
-            _correct_noisy_one, model=model,
-            table=_load_table(args.table),
-            kbd=_load_keyboard(args.keyboard_weights),
-        )
-    corrected = _map_jobs(worker, samples, args.jobs)
+        speller = corrector.Speller(model, table=_load_table(args.table),
+                                    kbd=_load_keyboard(args.keyboard_weights))
+        corrected = _map_jobs(_correct_noisy_one, samples, args.jobs,
+                              _use_speller, (speller,))
     with _writing(args.output) as fp:
         written = corpus.write_samples(corrected, fp)
     print(f"corrected {written} samples")

@@ -345,7 +345,8 @@ def test_criterion_8_tokenstats_fixture(capsys):
 
 
 # ---------------------------------------------------------------------------
-# 9. The CLI pipeline gives byte-identical artifacts with 1 and 8 workers.
+# 9. The CLI pipeline gives byte-identical artifacts with 1 and 8 workers,
+# the speller's among them: each worker keeps its own word memo.
 
 def _run_pipeline(root, jobs: int) -> dict[str, bytes]:
     workdir = root / f"jobs{jobs}"
@@ -353,7 +354,9 @@ def _run_pipeline(root, jobs: int) -> dict[str, bytes]:
     raw = root / "raw.jsonl"
     pre = workdir / "pre.jsonl"
     pairs = workdir / "pairs.jsonl"
+    sources = workdir / "sources.jsonl"
     corrected = workdir / "corrected.jsonl"
+    spelled = workdir / "spelled.jsonl"
     eval_json = workdir / "eval.json"
     stats_json = workdir / "stats.json"
 
@@ -363,12 +366,16 @@ def _run_pipeline(root, jobs: int) -> dict[str, bytes]:
                      "--seed", "42", "--jobs", j]) == 0
     assert cli_main(["correct", str(pairs.parent / "pre.jsonl"), str(corrected),
                      "--jobs", j]) == 0
+    with open(pairs, encoding="utf-8") as fp, open(sources, "w", encoding="utf-8") as out:
+        write_samples([TextSample(p.id, p.source) for p in read_pairs(fp)], out)
+    assert cli_main(["correct", str(sources), str(spelled), "--lm-corpus", str(pre),
+                     "--jobs", j]) == 0
     assert cli_main(["evaluate", str(pairs), str(corrected),
                      "--json", str(eval_json)]) == 0
     assert cli_main(["stats", str(pre), "--json", str(stats_json)]) == 0
     return {
         path.name: path.read_bytes()
-        for path in (pre, pairs, corrected, eval_json, stats_json)
+        for path in (pre, pairs, corrected, spelled, eval_json, stats_json)
     }
 
 

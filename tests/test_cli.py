@@ -1,9 +1,14 @@
 import json
 import multiprocessing
 import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ltgec
 from ltgec import cli
 from ltgec.cli import main
 from ltgec.confusions import read_table
@@ -611,6 +616,53 @@ class TestCorrect:
                      "--save-model", str(tmp_path / "m.tsv")])
         assert code == 1
         assert "error E_CONFIG" in capsys.readouterr().err
+
+    def test_workers_get_the_speller_once(self, tmp_path, corpus_factory, monkeypatch):
+        inp, lm = tmp_path / "in.jsonl", tmp_path / "lm.jsonl"
+        write_corpus(inp, [TextSample("0", "grazi diena"), TextSample("1", "grazi naktis")])
+        write_corpus(lm, corpus_factory(30, seed=5) + [TextSample("g", "graži " * 60)])
+        calls = []
+        map_jobs = cli._map_jobs
+
+        def capture(fn, items, jobs, *init):
+            calls.append((fn, init))
+            return map_jobs(fn, items, jobs, *init)
+
+        monkeypatch.setattr(cli, "_map_jobs", capture)
+        assert main(["correct", str(inp), str(tmp_path / "o.jsonl"),
+                     "--lm-corpus", str(lm), "--jobs", "2"]) == 0
+        assert [s.text for s in load_samples(tmp_path / "o.jsonl")] == [
+            "graži diena", "graži naktis"]
+        ((fn, (initializer, (speller,))),) = calls
+        # the chunks carry the worker and the samples; the speller, with its
+        # model, goes to each worker once, through the pool's initializer
+        assert initializer is cli._use_speller
+        assert len(pickle.dumps(fn)) < 1024
+        assert len(pickle.dumps(speller.model)) > 1024
+        assert speller.model.counts["graži"] == 60
+
+    @pytest.mark.parametrize("option,content,said", [
+        ("--table", 'group\t"[ae]"\tsimilar-sounding\n\t"a"\t-1\n',
+         "confusion table line 2: negative count -1"),
+        ("--keyboard-weights", "a s nan\n", "weight must be positive and finite"),
+    ])
+    def test_bad_speller_input_with_a_pool_is_one_error(self, option, content, said,
+                                                         tmp_path):
+        inp, bad = tmp_path / "in.jsonl", tmp_path / "bad.tsv"
+        write_corpus(inp, [TextSample("0", "grazi diena")])
+        bad.write_text(content, encoding="utf-8")
+        env = dict(os.environ)
+        src = str(Path(ltgec.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        # a subprocess with a timeout: a pool whose initializer raised would
+        # restart its workers forever instead of exiting
+        proc = subprocess.run(
+            [sys.executable, "-m", "ltgec", "correct", str(inp), str(tmp_path / "o.jsonl"),
+             "--lm-corpus", str(inp), "--jobs", "2", option, str(bad)],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error E_INPUT: ") and proc.stderr.count("\n") == 1
+        assert said in proc.stderr
 
 
 class TestDeriveStats:
