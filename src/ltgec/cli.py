@@ -16,12 +16,18 @@ import re
 import stat
 import sys
 from pathlib import Path
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
-from . import confusions, corpus, corrector, evaluator, m2, noiser, tokenstats
+from . import corpus, tokenstats
 from .edits import CATEGORY_BY_VALUE, ErrorCategory, ParallelPair, pair_from_json, write_pairs
 from .families import ALL_GROUPS, check_rate
-from .keyboard import KeyboardModel, default_keyboard, load_keyboard_weights
+
+# The noiser, the evaluator, the speller and their tables are imported inside
+# the commands that run them: preprocess, stats and rules-only correct load
+# none of them.
+if TYPE_CHECKING:
+    from . import confusions, corrector
+    from .keyboard import KeyboardModel
 
 E_IO = "E_IO"
 E_INPUT = "E_INPUT"
@@ -121,6 +127,8 @@ def _read_pair_file(path: str) -> list[ParallelPair]:
     position, so never repeat one."""
     with _reading(path) as fp:
         if path.endswith(".m2"):
+            from . import m2
+
             return list(m2.read_m2(fp))
         return _unique_ids(path, corpus.read_numbered(fp, pair_from_json, "pair"))
 
@@ -142,7 +150,11 @@ def _parse_groups(raw: str) -> frozenset[ErrorCategory]:
 def _map_jobs(fn, items: list, jobs: int, initializer=None, initargs=()) -> Iterable:
     """``fn`` over the items in order, in ``jobs`` processes. Each process
     runs ``initializer(*initargs)`` once before its first item; it must not
-    raise, or the pool would restart its workers forever."""
+    raise, or the pool would restart its workers forever.
+
+    The heap is frozen (``gc.freeze``) from just before the pool forks until
+    it closes, failures included: a worker's garbage collector then never
+    walks, and so never copies, the pages it shares with this process."""
     if jobs < 1:
         raise CliError(E_INPUT, f"--jobs must be a positive integer, got {jobs!r}")
     if jobs == 1:
@@ -151,10 +163,15 @@ def _map_jobs(fn, items: list, jobs: int, initializer=None, initargs=()) -> Iter
         return map(fn, items)
 
     def run():
+        import gc
         import multiprocessing
 
-        with multiprocessing.Pool(jobs, initializer, initargs) as pool:
-            yield from pool.imap(fn, items, chunksize=16)
+        gc.freeze()
+        try:
+            with multiprocessing.Pool(jobs, initializer, initargs) as pool:
+                yield from pool.imap(fn, items, chunksize=16)
+        finally:
+            gc.unfreeze()
 
     return run()
 
@@ -217,6 +234,8 @@ def _cmd_preprocess(args) -> int:
 
 
 def _load_table(path: str | None) -> confusions.ConfusionTable:
+    from . import confusions
+
     if path is None:
         return confusions.default_table()
     with _reading(path) as fp:
@@ -224,6 +243,8 @@ def _load_table(path: str | None) -> confusions.ConfusionTable:
 
 
 def _load_keyboard(path: str | None) -> KeyboardModel:
+    from .keyboard import KeyboardModel, default_keyboard, load_keyboard_weights
+
     if path is None:
         return default_keyboard()
     with _reading(path):  # load_keyboard_weights opens the file itself
@@ -231,10 +252,14 @@ def _load_keyboard(path: str | None) -> KeyboardModel:
 
 
 def _corrupt_one(sample, cfg, table, kbd):
+    from . import noiser
+
     return noiser.corrupt(sample, cfg, table, kbd)
 
 
 def _cmd_corrupt(args) -> int:
+    from . import m2, noiser
+
     samples = _read_keyed_samples(args.input, args.format)
     if args.rule_errors:
         check_rate("--rate", args.rate)
@@ -263,6 +288,8 @@ def _cmd_corrupt(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
+    from . import evaluator
+
     gold = _read_pair_file(args.gold)
     if args.hypothesis.endswith(".jsonl"):
         hyp_samples = _read_keyed_samples(args.hypothesis, "jsonl")
@@ -308,7 +335,9 @@ def _cmd_stats(args) -> int:
 
 
 def _correct_rules_one(sample):
-    return corpus.TextSample(sample.id, corrector.rule_correct(sample.text), sample.source)
+    # corrector.rule_correct is corpus.preprocess; calling the latter keeps the
+    # speller's modules unloaded
+    return corpus.preprocess_sample(sample)
 
 
 # This process's speller: set once per worker by _use_speller, so its tables
@@ -325,28 +354,34 @@ def _correct_noisy_one(sample):
     return corpus.TextSample(sample.id, _speller.correct(sample.text), sample.source)
 
 
-def _cmd_correct(args) -> int:
-    samples = _read_keyed_samples(args.input, args.format)
-    model = None
-    if args.model and args.lm_corpus:
-        raise CliError(E_CONFIG, "--model and --lm-corpus are mutually exclusive")
+def _build_speller(args) -> corrector.Speller:
+    """The speller over the --model or --lm-corpus model, saved first if
+    --save-model asks."""
+    from . import corrector
+
     if args.model:
         with _reading(args.model) as fp:
             model = corrector.load_model(fp)
-    elif args.lm_corpus:
+    else:
         model = corrector.build_unigram(_read_sample_file(args.lm_corpus, "auto"))
     if args.save_model:
-        if model is None:
-            raise CliError(E_CONFIG, "--save-model needs --model or --lm-corpus")
         with _writing(args.save_model) as fp:
             corrector.save_model(model, fp)
-    if model is None:
-        corrected = _map_jobs(_correct_rules_one, samples, args.jobs)
-    else:
-        speller = corrector.Speller(model, table=_load_table(args.table),
-                                    kbd=_load_keyboard(args.keyboard_weights))
+    return corrector.Speller(model, table=_load_table(args.table),
+                             kbd=_load_keyboard(args.keyboard_weights))
+
+
+def _cmd_correct(args) -> int:
+    samples = _read_keyed_samples(args.input, args.format)
+    if args.model and args.lm_corpus:
+        raise CliError(E_CONFIG, "--model and --lm-corpus are mutually exclusive")
+    if args.model or args.lm_corpus:
         corrected = _map_jobs(_correct_noisy_one, samples, args.jobs,
-                              _use_speller, (speller,))
+                              _use_speller, (_build_speller(args),))
+    elif args.save_model:
+        raise CliError(E_CONFIG, "--save-model needs --model or --lm-corpus")
+    else:
+        corrected = _map_jobs(_correct_rules_one, samples, args.jobs)
     with _writing(args.output) as fp:
         written = corpus.write_samples(corrected, fp)
     print(f"corrected {written} samples")
@@ -371,6 +406,8 @@ def _read_patterns(path: str) -> list[str]:
 
 
 def _cmd_derive_stats(args) -> int:
+    from . import confusions
+
     samples = _read_sample_file(args.input, args.format)
     patterns = _read_patterns(args.patterns) if args.patterns else None
     table = confusions.derive_confusion_stats(samples, patterns)

@@ -176,13 +176,3 @@ def read_table(fp: TextIO) -> ConfusionTable:
             raise ValueError(f"confusion table line {lineno}: {exc}") from exc
     flush()
     return ConfusionTable(tuple(groups))
-
-
-def render_table(table: ConfusionTable) -> str:
-    """Human-readable layout: pattern, then variant/count pairs."""
-    lines = []
-    width = max((len(g.pattern) for g in table.groups), default=0) + 2
-    for g in table.groups:
-        cells = " | ".join(f"{v!r} {c:,}" for v, c in g.variants)
-        lines.append(f"{g.pattern:<{width}} {cells}")
-    return "\n".join(lines)

@@ -92,17 +92,6 @@ class KeyboardModel:
             ws = [1.0] * len(chars)
         return self._restore_case(chars, ch), ws
 
-    def charset(self) -> set[str]:
-        chars = set(self.adjacency)
-        for ns in self.adjacency.values():
-            chars.update(ns)
-        if self.weights:
-            for key, pairs in self.weights.items():
-                chars.add(key)
-                chars.update(c for c, _ in pairs)
-        chars.update(c.upper() for c in list(chars) if c.isalpha())
-        return chars
-
 
 def _unescape_key(tok: str) -> str:
     if tok == r"\s":

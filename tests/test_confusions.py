@@ -9,7 +9,6 @@ from ltgec.confusions import (
     default_table,
     derive_confusion_stats,
     read_table,
-    render_table,
     write_table,
 )
 from ltgec.edits import ErrorCategory
@@ -120,8 +119,3 @@ class TestTableIO:
         buf = io.StringIO('group\t"[aą]"\tnosines\n\t"a"\t5\n')
         with pytest.raises(ValueError, match="line 1"):
             read_table(buf)
-
-    def test_render_mentions_patterns(self):
-        text = render_table(default_table())
-        assert "[iįy]" in text
-        assert "82431807" in text or "82,431,807" in text

@@ -1,17 +1,23 @@
-"""No path loads numpy, --jobs 1 starts no pool, and the package's names
-are plain module attributes.
+"""No path loads numpy, --jobs 1 starts no pool, each subcommand loads only
+the modules it runs, and every public name resolves to its module.
 
-The numpy and pool checks run in a fresh interpreter, because this suite's
-conftest imports numpy itself.
+The module checks run in a fresh interpreter, because this suite's conftest
+imports numpy and its tests import every module of the package.
 """
 
+import importlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import ltgec
+from ltgec.alignment import extract_edits
+from ltgec.corpus import TextSample, write_samples
+from ltgec.edits import ParallelPair, write_pairs
 
 SRC = str(Path(ltgec.__file__).resolve().parent.parent)
 
@@ -88,7 +94,67 @@ def test_corrupt_leaves_numpy_unloaded(tmp_path):
     assert seen == {"codes": [0] * 3, "numpy": False}
 
 
-def test_package_names_are_plain_attributes():
-    names = vars(ltgec)
-    assert [n for n in ltgec.__all__ if n not in names] == []
-    assert "__getattr__" not in names
+STAR_IMPORT = r"""
+import json
+
+import ltgec
+from ltgec import *
+
+print(json.dumps([n for n in ltgec.__all__ if globals().get(n) is not getattr(ltgec, n)]))
+"""
+
+
+def test_public_names_resolve_to_their_modules():
+    assert ltgec.__all__ == sorted(ltgec._MODULE_OF)
+    for name in ltgec.__all__:
+        module = importlib.import_module(f"ltgec.{ltgec._MODULE_OF[name]}")
+        value = getattr(ltgec, name)
+        assert value is getattr(module, name)
+        assert getattr(value, "__module__", module.__name__) == module.__name__, name
+    assert set(ltgec.__all__) <= set(dir(ltgec))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        ltgec.no_such_name
+
+
+def test_star_import_binds_every_public_name():
+    assert run_fresh(STAR_IMPORT) == []
+
+
+# Modules that the first four steps below never run; the last two run no noiser.
+HEAVY = ("noiser", "alignment", "_kernels", "evaluator", "m2", "corrector", "confusions",
+         "keyboard")
+
+CLI_STEP = r"""
+import json, sys
+
+from ltgec.cli import main
+
+try:
+    code = main(sys.argv[1:])
+except SystemExit as exc:  # --help
+    code = exc.code
+print(json.dumps({"code": code,
+                  "loaded": sorted(m[6:] for m in sys.modules if m.startswith("ltgec."))}))
+"""
+
+
+def test_each_subcommand_loads_only_its_modules(tmp_path):
+    text = "Vakar bare grojo gera muzika, o „Oscar“ laimėjo."
+    with open(tmp_path / "in.jsonl", "w", encoding="utf-8") as fp:
+        write_samples([TextSample("0", text)], fp)
+    source = "Vakar bare grojo gera muzka, o „Oscar“ laimėjo."
+    with open(tmp_path / "gold.jsonl", "w", encoding="utf-8") as fp:
+        write_pairs([ParallelPair("0", source, text, tuple(extract_edits(source, text)))], fp)
+    (tmp_path / "hyp.txt").write_text(text + "\n", encoding="utf-8")
+    d = str(tmp_path)
+    light = [["--help"],
+             ["preprocess", f"{d}/in.jsonl", f"{d}/clean.jsonl"],
+             ["stats", f"{d}/in.jsonl"],
+             ["correct", f"{d}/in.jsonl", f"{d}/rules.jsonl"]]
+    heavy = [["correct", f"{d}/in.jsonl", f"{d}/noisy.jsonl", "--lm-corpus", f"{d}/in.jsonl"],
+             ["evaluate", f"{d}/gold.jsonl", f"{d}/hyp.txt"]]
+    for argv in light + heavy:
+        seen = run_fresh(CLI_STEP, *argv)
+        assert seen["code"] == 0, argv
+        unloaded = HEAVY if argv in light else ("noiser",)
+        assert [m for m in unloaded if m in seen["loaded"]] == [], argv

@@ -95,8 +95,3 @@ class TestWeights:
         path.write_text("p b 1.0\n" + line + "\n", encoding="utf-8")
         with pytest.raises(ValueError, match=r":2: "):
             load_keyboard_weights(path)
-
-
-def test_charset_contains_both_cases(kbd):
-    chars = kbd.charset()
-    assert "a" in chars and "A" in chars and " " in chars
