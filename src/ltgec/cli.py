@@ -150,11 +150,7 @@ def _parse_groups(raw: str) -> frozenset[ErrorCategory]:
 def _map_jobs(fn, items: list, jobs: int, initializer=None, initargs=()) -> Iterable:
     """``fn`` over the items in order, in ``jobs`` processes. Each process
     runs ``initializer(*initargs)`` once before its first item; it must not
-    raise, or the pool would restart its workers forever.
-
-    The heap is frozen (``gc.freeze``) from just before the pool forks until
-    it closes, failures included: a worker's garbage collector then never
-    walks, and so never copies, the pages it shares with this process."""
+    raise, or the pool would restart its workers forever."""
     if jobs < 1:
         raise CliError(E_INPUT, f"--jobs must be a positive integer, got {jobs!r}")
     if jobs == 1:
@@ -163,15 +159,10 @@ def _map_jobs(fn, items: list, jobs: int, initializer=None, initargs=()) -> Iter
         return map(fn, items)
 
     def run():
-        import gc
         import multiprocessing
 
-        gc.freeze()
-        try:
-            with multiprocessing.Pool(jobs, initializer, initargs) as pool:
-                yield from pool.imap(fn, items, chunksize=16)
-        finally:
-            gc.unfreeze()
+        with multiprocessing.Pool(jobs, initializer, initargs) as pool:
+            yield from pool.imap(fn, items, chunksize=16)
 
     return run()
 

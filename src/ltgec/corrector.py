@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 import re
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, TextIO
 
@@ -73,17 +72,13 @@ class UnigramModel:
 
 
 def build_unigram(corpus: Iterable[TextSample | str]) -> UnigramModel:
-    # Count whitespace tokens, then strip each distinct token once: the words,
-    # counts and first-seen order equal counting tokenize_words token by token.
-    tokens: Counter[str] = Counter()
-    for sample in corpus:
-        tokens.update((sample.text if isinstance(sample, TextSample) else sample).split())
     counts: dict[str, int] = {}
     total = 0
-    for token, n in tokens.items():
-        for word in tokenize_words(token):
-            counts[word] = counts.get(word, 0) + n
-            total += n
+    for sample in corpus:
+        text = sample.text if isinstance(sample, TextSample) else sample
+        for word in tokenize_words(text):
+            counts[word] = counts.get(word, 0) + 1
+            total += 1
     if total == 0:
         raise EmptyCorpusError("language model needs a non-empty corpus")
     return UnigramModel(counts, total)

@@ -1,4 +1,3 @@
-import gc
 import json
 import multiprocessing
 import os
@@ -172,27 +171,6 @@ class TestCorrupt:
         assert main(["corrupt", str(multiline_file), str(link), "--seed", "1"]) == 1
         assert capsys.readouterr().err.startswith("error E_INPUT: pair b:")
         assert link.is_symlink() and target.is_file()
-
-    def test_heap_is_frozen_only_while_the_pool_runs(self, corpus_file, multiline_file,
-                                                      tmp_path, capsys, monkeypatch):
-        before = gc.get_freeze_count()
-        at_fork = []
-        pool = multiprocessing.Pool
-
-        def counted(*args, **kwargs):
-            at_fork.append(gc.get_freeze_count())
-            return pool(*args, **kwargs)
-
-        monkeypatch.setattr(multiprocessing, "Pool", counted)
-        assert main(["corrupt", str(corpus_file), str(tmp_path / "out.jsonl"),
-                     "--seed", "1", "--jobs", "2"]) == 0
-        assert gc.get_freeze_count() == before
-        # the M2 write fails at sample b, while the pool is still open
-        assert main(["corrupt", str(multiline_file), str(tmp_path / "out.m2"),
-                     "--seed", "1", "--jobs", "2"]) == 1
-        assert capsys.readouterr().err.startswith("error E_INPUT: pair b:")
-        assert gc.get_freeze_count() == before
-        assert len(at_fork) == 2 and min(at_fork) > before
 
     def test_jobs_do_not_change_output(self, corpus_file, tmp_path):
         one = tmp_path / "one.jsonl"

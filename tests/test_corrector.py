@@ -69,41 +69,6 @@ class TestUnigramModel:
         with pytest.raises(EmptyCorpusError):
             build_unigram(["...", "!!"])
 
-    @staticmethod
-    def reference_counts(corpus):
-        """build_unigram's token loop as it was before it counted distinct
-        tokens: one dict update per word."""
-        counts: dict[str, int] = {}
-        total = 0
-        for sample in corpus:
-            text = sample.text if isinstance(sample, TextSample) else sample
-            for word in tokenize_words(text):
-                counts[word] = counts.get(word, 0) + 1
-                total += 1
-        return counts, total
-
-    # Lithuanian letters, _, digits, combining marks, punctuation and Unicode
-    # whitespace that str.split() splits on: NBSP, U+2028, U+3000, \x1c
-    @given(st.lists(st.one_of(
-        st.text(alphabet="aąčęėįšųūžAĄČŽ_07\u0301\u0307.,„“!-— \xa0\u2028\u3000\x1c\n",
-                max_size=30),
-        st.builds(TextSample, st.just("s"), st.text(alphabet="ąž_1\u0303., \xa0", max_size=12)),
-    ), max_size=6))
-    @settings(max_examples=300)
-    def test_equals_the_token_by_token_count(self, corpus):
-        counts, total = self.reference_counts(corpus)
-        if total == 0:
-            with pytest.raises(EmptyCorpusError):
-                build_unigram(corpus)
-            return
-        model = build_unigram(corpus)
-        assert model.counts == counts and list(model.counts) == list(counts)
-        assert model.total == total
-        want, got = io.StringIO(), io.StringIO()
-        save_model(UnigramModel(counts, total), want)
-        save_model(model, got)
-        assert got.getvalue().encode() == want.getvalue().encode()
-
 
 class TestModelIO:
     def test_round_trip(self):
